@@ -19,7 +19,7 @@ import numpy as np
 from . import memorization
 from .association import DEFAULT_CLUSTER_THRESHOLD, association_matrix, cluster_features
 from .augment import DEFAULT_RATIO, AugmentConfig, AugmentMode, augment as run_augment
-from .errors import TabmemError
+from .errors import NonFiniteValueError, TabmemError
 from .fidelity import full_report
 from .parallel import resolve_threads
 from .scorelab import LatentSet, SdeConfig, SigmaSchedule, backward_sample, run_replication
@@ -27,7 +27,10 @@ from .table import load_csv, load_schema, write_csv
 
 
 def _dump_json(obj: dict, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteValueError(f"refusing to write a non-finite value: {exc}") from exc
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -43,9 +46,18 @@ class _UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     _require_files(args.train, args.synthetic, args.schema)
-    threads = resolve_threads(args.threads)
     run_config = {
         "command": "audit",
         "train": args.train,
@@ -53,7 +65,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         "schema": args.schema,
         "threshold": args.threshold,
         "bins": args.bins,
-        "threads": threads,
+        "threads": args.threads,
         "out": args.out,
         "histogram_csv": args.histogram_csv,
     }
@@ -61,7 +73,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     train = load_csv(args.train, schema)
     synthetic = load_csv(args.synthetic, schema)
     report = memorization.audit(
-        synthetic, train, threshold=args.threshold, bins=args.bins, threads=threads
+        synthetic, train, threshold=args.threshold, bins=args.bins, threads=args.threads
     )
     payload = report.to_dict()
     payload["run_config"] = run_config
@@ -77,7 +89,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     _require_files(args.train, args.schema)
-    threads = resolve_threads(args.threads)
     run_config = {
         "command": "augment",
         "train": args.train,
@@ -86,7 +97,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         "ratio": args.ratio,
         "seed": args.seed,
         "cluster_threshold": args.cluster_threshold,
-        "threads": threads,
+        "threads": args.threads,
         "out": args.out,
     }
     schema = load_schema(args.schema)
@@ -113,7 +124,6 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     _require_files(args.real, args.synthetic, args.schema, args.holdout)
-    threads = resolve_threads(args.threads)
     run_config = {
         "command": "fidelity",
         "real": args.real,
@@ -121,14 +131,14 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
         "schema": args.schema,
         "holdout": args.holdout,
         "seed": args.seed,
-        "threads": threads,
+        "threads": args.threads,
         "out": args.out,
     }
     schema = load_schema(args.schema)
     real = load_csv(args.real, schema)
     synthetic = load_csv(args.synthetic, schema)
     holdout = load_csv(args.holdout, schema) if args.holdout else None
-    report = full_report(real, synthetic, holdout=holdout, seed=args.seed)
+    report = full_report(real, synthetic, holdout=holdout, seed=args.seed, threads=args.threads)
     payload = report.to_dict()
     payload["run_config"] = run_config
     _dump_json(payload, args.out)
@@ -142,14 +152,13 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     _require_files(args.train, args.schema)
-    threads = resolve_threads(args.threads)
     run_config = {
         "command": "cluster",
         "train": args.train,
         "schema": args.schema,
         "threshold": args.threshold,
         "eta_mapping": args.eta_mapping,
-        "threads": threads,
+        "threads": args.threads,
         "out": args.out,
     }
     schema = load_schema(args.schema)
@@ -166,7 +175,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
     run_config = {
         "command": "simulate",
         "n_latents": args.n_latents,
@@ -176,7 +184,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "horizon": args.horizon,
         "tolerance": args.tolerance,
-        "threads": threads,
+        "threads": args.threads,
         "out": args.out,
         "emit_trajectories": args.emit_trajectories,
     }
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker cap (default: $TABMEM_THREADS or all cores); results do not depend on it",
     )
@@ -289,6 +297,11 @@ def argv_from_run_config(run_config: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.threads = resolve_threads(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except _UsageError as exc:

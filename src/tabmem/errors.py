@@ -73,3 +73,7 @@ class BadTimeError(TabmemError):
 
 class ZeroSigmaError(TabmemError):
     """The optimal score is undefined where the noise level is zero."""
+
+
+class NonFiniteValueError(TabmemError):
+    """A result meant for a JSON report is NaN or infinite."""

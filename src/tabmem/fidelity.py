@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import pearson
-from .distance import DistanceNormalizer, fit_normalizer, pairwise_mixed
+from .distance import DistanceNormalizer, fit_normalizer, pairwise_mixed, reduce_mixed
 from .errors import (
     EmptyColumnError,
     EmptyTableError,
@@ -140,7 +140,7 @@ def trend_score(real: Table, syn: Table, bins: int = DEFAULT_TREND_BINS) -> floa
     return float(np.mean(scores))
 
 
-def dcr_probability(syn: Table, train: Table, holdout: Table) -> float:
+def dcr_probability(syn: Table, train: Table, holdout: Table, threads: int = 1) -> float:
     """Fraction of synthetic rows whose closest record is a train row.
 
     One normalizer is fitted over syn x (train + holdout); exact ties count
@@ -151,10 +151,13 @@ def dcr_probability(syn: Table, train: Table, holdout: Table) -> float:
     if syn.n_rows == 0 or train.n_rows == 0 or holdout.n_rows == 0:
         raise EmptyTableError("DCR needs non-empty syn, train, and holdout tables")
     pool = concat(train, holdout)
-    norm = fit_normalizer(syn, pool)
-    distances = pairwise_mixed(syn, pool, norm)
-    to_train = distances[:, : train.n_rows].min(axis=1)
-    to_holdout = distances[:, train.n_rows :].min(axis=1)
+    norm = fit_normalizer(syn, pool, threads)
+    split = train.n_rows
+
+    def closest(block: np.ndarray) -> np.ndarray:
+        return np.column_stack([block[:, :split].min(axis=1), block[:, split:].min(axis=1)])
+
+    to_train, to_holdout = np.vstack(reduce_mixed(syn, pool, norm, closest, threads)).T
     wins = np.count_nonzero(to_train < to_holdout)
     ties = np.count_nonzero(to_train == to_holdout)
     return float((wins + 0.5 * ties) / syn.n_rows)
@@ -302,12 +305,14 @@ def c2st_score(real: Table, syn: Table, seed: int = 0) -> float:
 # --- ball-support precision / recall -----------------------------------------
 
 
-def _medoid_distances(ref: Table, other: Table, norm: DistanceNormalizer) -> tuple[np.ndarray, np.ndarray]:
+def _medoid_distances(
+    ref: Table, other: Table, norm: DistanceNormalizer, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
     """Distances of ref and other rows to the ref medoid (lowest-index tie)."""
-    within = pairwise_mixed(ref, ref, norm)
-    medoid = int(np.argmin(within.sum(axis=1)))
-    d_ref = within[:, medoid]
-    d_other = pairwise_mixed(other, ref, norm)[:, medoid]
+    sums = reduce_mixed(ref, ref, norm, lambda block: block.sum(axis=1), threads)
+    medoid = Table(ref.schema, [ref.row(int(np.argmin(np.concatenate(sums))))])
+    d_ref = pairwise_mixed(ref, medoid, norm, threads)[:, 0]
+    d_other = pairwise_mixed(other, medoid, norm, threads)[:, 0]
     return d_ref, d_other
 
 
@@ -318,7 +323,7 @@ def _support_curve(d_ref: np.ndarray, d_other: np.ndarray, levels: int) -> np.nd
 
 
 def alpha_precision_beta_recall(
-    real: Table, syn: Table, levels: int = SUPPORT_LEVELS
+    real: Table, syn: Table, levels: int = SUPPORT_LEVELS, threads: int = 1
 ) -> tuple[float, float]:
     """Ball-support fidelity and coverage under the mixed distance.
 
@@ -332,12 +337,12 @@ def alpha_precision_beta_recall(
     if real.n_rows < 10 or syn.n_rows < 10:
         raise TooFewRowsError("support metrics need at least 10 rows per table")
     pool = concat(real, syn)
-    norm = fit_normalizer(pool, pool)
+    norm = fit_normalizer(pool, pool, threads)
     grid = np.arange(1, levels + 1) / levels
 
-    d_real, d_syn_to_real = _medoid_distances(real, syn, norm)
+    d_real, d_syn_to_real = _medoid_distances(real, syn, norm, threads)
     precision_curve = _support_curve(d_real, d_syn_to_real, levels)
-    d_syn, d_real_to_syn = _medoid_distances(syn, real, norm)
+    d_syn, d_real_to_syn = _medoid_distances(syn, real, norm, threads)
     recall_curve = _support_curve(d_syn, d_real_to_syn, levels)
 
     precision = 1.0 - 2.0 * float(np.mean(np.abs(precision_curve - grid)))
@@ -401,9 +406,10 @@ def full_report(
     syn: Table,
     holdout: Table | None = None,
     seed: int = 0,
+    threads: int = 1,
 ) -> FidelityReport:
     """All fidelity metrics in one pass; DCR only when a holdout is supplied."""
-    alpha, beta = alpha_precision_beta_recall(real, syn)
+    alpha, beta = alpha_precision_beta_recall(real, syn, threads=threads)
     return FidelityReport(
         shape_score=shape_score(real, syn),
         trend_score=trend_score(real, syn),
@@ -411,6 +417,6 @@ def full_report(
         alpha_precision=alpha,
         beta_recall=beta,
         dcr_probability=(
-            dcr_probability(syn, real, holdout) if holdout is not None else None
+            dcr_probability(syn, real, holdout, threads) if holdout is not None else None
         ),
     )

@@ -19,7 +19,10 @@ def resolve_threads(requested: int | None = None) -> int:
         return requested
     env = os.environ.get(THREADS_ENV)
     if env:
-        return resolve_threads(int(env))
+        try:
+            return resolve_threads(int(env))
+        except ValueError:
+            raise ValueError(f"${THREADS_ENV} must be an integer >= 1, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -291,3 +292,99 @@ class TestReplayHelper:
         assert replay[:2] == ["--threads", "2"]
         assert main(replay) == 0
         assert out.read_bytes() == first
+
+
+def _audit_argv(paths, out):
+    return [
+        "audit",
+        "--train", str(paths["train"]),
+        "--synthetic", str(paths["synthetic"]),
+        "--schema", str(paths["schema"]),
+        "--out", str(out),
+    ]
+
+
+class TestThreadCounts:
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_flag_is_usage_error(self, workspace, capsys, value):
+        paths, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", value, *_audit_argv(paths, paths["dir"] / "r.json")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_environment_is_usage_error(self, workspace, capsys, monkeypatch, value):
+        paths, _ = workspace
+        monkeypatch.setenv("TABMEM_THREADS", value)
+        assert main(_audit_argv(paths, paths["dir"] / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $TABMEM_THREADS")
+        assert "Traceback" not in err
+
+    def test_environment_value_is_recorded(self, workspace, monkeypatch):
+        paths, _ = workspace
+        out = paths["dir"] / "r.json"
+        monkeypatch.setenv("TABMEM_THREADS", "3")
+        assert main(_audit_argv(paths, out)) == 0
+        assert json.loads(out.read_text())["run_config"]["threads"] == 3
+
+    def test_fidelity_receives_the_thread_count(self, workspace, monkeypatch):
+        from tabmem import cli
+
+        seen = []
+        real_report = cli.full_report
+
+        def recording_report(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return real_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "full_report", recording_report)
+        paths, _ = workspace
+        code = main(
+            [
+                "--threads", "3",
+                "fidelity",
+                "--real", str(paths["train"]),
+                "--synthetic", str(paths["synthetic"]),
+                "--holdout", str(paths["holdout"]),
+                "--schema", str(paths["schema"]),
+                "--out", str(paths["dir"] / "fid.json"),
+            ]
+        )
+        assert code == 0
+        assert seen == [3]
+
+
+class TestNonFiniteOutput:
+    def test_nan_is_a_data_error_and_writes_nothing(self, workspace, capsys, monkeypatch):
+        from tabmem import memorization
+
+        real_audit = memorization.audit
+
+        def nan_audit(*args, **kwargs):
+            report = real_audit(*args, **kwargs)
+            return dataclasses.replace(report, mem_auc=float("nan"))
+
+        monkeypatch.setattr(memorization, "audit", nan_audit)
+        paths, _ = workspace
+        out = paths["dir"] / "r.json"
+        assert main(_audit_argv(paths, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert not out.exists()
+
+    def test_huge_magnitudes_give_a_finite_report(self, workspace):
+        paths, train = workspace
+        num = set(train.schema.numerical_indices)
+        huge = Table(
+            train.schema,
+            [tuple(v * 1e200 if i in num else v for i, v in enumerate(row)) for row in train.rows],
+        )
+        write_csv(huge, paths["train"])
+        write_csv(Table(huge.schema, huge.rows[:15]), paths["synthetic"])
+        out = paths["dir"] / "r.json"
+        assert main(_audit_argv(paths, out)) == 0
+        report = json.loads(out.read_text())
+        assert report["mem_auc"] == 1.0
+        assert all(r == 0.0 for r in report["ratios"])

@@ -4,9 +4,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabmem.distance import fit_normalizer, pairwise_mixed
 from tabmem.errors import EmptyColumnError, TooFewRowsError
 from tabmem.fidelity import (
     Discriminator,
+    _medoid_distances,
     alpha_precision_beta_recall,
     c2st_score,
     dcr_probability,
@@ -18,7 +20,7 @@ from tabmem.fidelity import (
     trend_score,
     tv_complement,
 )
-from tabmem.table import FeatureKind, Schema, Table
+from tabmem.table import FeatureKind, Schema, Table, concat
 
 from conftest import random_mixed_table
 
@@ -296,3 +298,43 @@ class TestFullReport:
         report = full_report(real, syn, seed=0)
         assert report.dcr_probability is None
         assert "dcr_probability" not in report.to_dict()
+
+
+class TestBlockReducers:
+    """The medoid and DCR reductions equal their full-matrix versions."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_medoid_distances_match_full_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        ref = random_mixed_table(rng, 90, n_num=3, n_cat=2, duplicate_rows=5)
+        other = random_mixed_table(rng, 70, n_num=3, n_cat=2)
+        norm = fit_normalizer(concat(ref, other), concat(ref, other))
+        within = pairwise_mixed(ref, ref, norm)
+        medoid = int(np.argmin(within.sum(axis=1)))
+        d_ref, d_other = _medoid_distances(ref, other, norm, threads=2)
+        np.testing.assert_array_equal(d_ref, within[:, medoid])
+        np.testing.assert_array_equal(d_other, pairwise_mixed(other, ref, norm)[:, medoid])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dcr_matches_full_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        train = random_mixed_table(rng, 60, n_num=2, n_cat=2, categories=2, duplicate_rows=6)
+        holdout = random_mixed_table(rng, 50, n_num=2, n_cat=2, categories=2)
+        syn = concat(random_mixed_table(rng, 40, n_num=2, n_cat=2, categories=2),
+                     Table(train.schema, train.rows[:10] + holdout.rows[:10]))
+        pool = concat(train, holdout)
+        norm = fit_normalizer(syn, pool)
+        full = pairwise_mixed(syn, pool, norm)
+        to_train = full[:, : train.n_rows].min(axis=1)
+        to_holdout = full[:, train.n_rows :].min(axis=1)
+        expected = (np.count_nonzero(to_train < to_holdout)
+                    + 0.5 * np.count_nonzero(to_train == to_holdout)) / syn.n_rows
+        assert dcr_probability(syn, train, holdout, threads=2) == expected
+
+    def test_thread_count_does_not_change_report(self):
+        rng = np.random.default_rng(2)
+        real = random_mixed_table(rng, 60, n_num=2, n_cat=2, with_target=True)
+        syn = random_mixed_table(rng, 60, n_num=2, n_cat=2, with_target=True)
+        holdout = random_mixed_table(rng, 40, n_num=2, n_cat=2, with_target=True)
+        single = full_report(real, syn, holdout, threads=1)
+        assert full_report(real, syn, holdout, threads=3) == single
