@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyTableError, LengthMismatchError
-from .table import FeatureKind, Table
+from .table import FeatureKind, Table, encode
 
 DEFAULT_CLUSTER_THRESHOLD = 0.7
 
@@ -35,25 +35,22 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sum(xc * yc) / denom)
 
 
-def _contingency(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-    a_cats = {v: i for i, v in enumerate(dict.fromkeys(a))}
-    b_cats = {v: i for i, v in enumerate(dict.fromkeys(b))}
-    counts = np.zeros((len(a_cats), len(b_cats)))
-    for x, y in zip(a, b):
-        counts[a_cats[x], b_cats[y]] += 1
-    return counts
-
-
 def cramers_v(a: Sequence[str], b: Sequence[str]) -> float:
     """Classical (uncorrected) Cramér's V from the r x c contingency table."""
     if len(a) != len(b):
         raise LengthMismatchError(f"column lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise LengthMismatchError("need at least 2 paired values")
-    counts = _contingency(a, b)
-    r, c = counts.shape
+    return _cramers_v(encode(a)[0], encode(b)[0])
+
+
+def _cramers_v(a: np.ndarray, b: np.ndarray) -> float:
+    """Cramér's V of two columns of first-appearance codes (see ``table.encode``)."""
+    r, c = int(a.max()) + 1, int(b.max()) + 1
     if min(r - 1, c - 1) == 0:
         return 0.0
+    cells = np.bincount(a.astype(np.int64) * c + b, minlength=r * c)
+    counts = cells.reshape(r, c).astype(np.float64)
     n = counts.sum()
     expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -67,14 +64,18 @@ def eta_squared(num: Sequence[float], cat: Sequence[str]) -> float:
         raise LengthMismatchError(f"column lengths differ: {x.size} vs {len(cat)}")
     if x.size < 2:
         raise LengthMismatchError("need at least 2 paired values")
+    return _eta_squared(x, encode(cat)[0])
+
+
+def _eta_squared(x: np.ndarray, codes: np.ndarray) -> float:
+    """Eta squared of ``x`` grouped by first-appearance codes, summed in code order."""
     grand = x.mean()
     ss_total = float(np.sum((x - grand) ** 2))
     if ss_total == 0.0:
         return 0.0
-    labels = np.asarray(cat, dtype=object)
     ss_between = 0.0
-    for value in dict.fromkeys(cat):
-        group = x[labels == value]
+    for code in range(int(codes.max()) + 1):
+        group = x[codes == code]
         ss_between += group.size * (group.mean() - grand) ** 2
     return float(ss_between / ss_total)
 
@@ -116,7 +117,7 @@ def association_matrix(table: Table, eta_mapping: str = "sqrt") -> AssociationMa
     if eta_mapping not in ("sqrt", "squared"):
         raise ValueError(f"eta_mapping must be 'sqrt' or 'squared', got {eta_mapping!r}")
     kinds = [kind for _, kind in table.schema.features]
-    columns = [table.feature_column(i) for i in range(table.schema.n_features)]
+    columns = [table.column(i) for i in range(table.schema.n_features)]
     m = len(columns)
     values = np.eye(m)
     for i in range(m):
@@ -124,10 +125,10 @@ def association_matrix(table: Table, eta_mapping: str = "sqrt") -> AssociationMa
             if kinds[i] is FeatureKind.NUMERICAL and kinds[j] is FeatureKind.NUMERICAL:
                 strength = abs(pearson(columns[i], columns[j]))
             elif kinds[i] is FeatureKind.CATEGORICAL and kinds[j] is FeatureKind.CATEGORICAL:
-                strength = cramers_v(columns[i], columns[j])
+                strength = _cramers_v(columns[i], columns[j])
             else:
                 num, cat = (i, j) if kinds[i] is FeatureKind.NUMERICAL else (j, i)
-                e2 = eta_squared(columns[num], columns[cat])
+                e2 = _eta_squared(columns[num], columns[cat])
                 strength = float(np.sqrt(e2)) if eta_mapping == "sqrt" else e2
             values[i, j] = values[j, i] = min(max(strength, 0.0), 1.0)
     return AssociationMatrix(values, tuple(table.schema.feature_names))

@@ -21,7 +21,7 @@ from .association import (
     cluster_features,
 )
 from .errors import ClassTooSmallError, EmptyTableError, NoTargetError
-from .table import Cell, Row, Table
+from .table import Cell, Row, Table, concat
 
 DEFAULT_RATIO = 0.3
 
@@ -64,10 +64,8 @@ def class_prior(train: Table) -> dict[str, float]:
         raise NoTargetError("augmentation needs a class-label column")
     if train.n_rows == 0:
         raise EmptyTableError("cannot compute a prior on an empty table")
-    counts: dict[str, int] = {}
-    for label in train.target_values():
-        counts[label] = counts.get(label, 0) + 1
-    return {label: count / train.n_rows for label, count in counts.items()}
+    counts = np.bincount(train.column(train.schema.n_features)).tolist()
+    return {label: count / train.n_rows for label, count in zip(train.vocabularies[-1], counts)}
 
 
 class _ClassIndex:
@@ -76,22 +74,42 @@ class _ClassIndex:
     def __init__(self, train: Table):
         if train.schema.target is None:
             raise NoTargetError("augmentation needs a class-label column")
-        self.rows: dict[str, list[int]] = {}
-        for i, label in enumerate(train.target_values()):
-            self.rows.setdefault(label, []).append(i)
+        codes = train.column(train.schema.n_features)
+        self.rows = {label: np.flatnonzero(codes == k) for k, label in enumerate(train.vocabularies[-1])}
 
     def sample_pair(self, label: str, rng: np.random.Generator) -> tuple[int, int]:
         members = self.rows[label]
         if len(members) < 2:
             raise ClassTooSmallError(label, len(members))
         a, b = rng.choice(len(members), size=2, replace=False)
-        return members[int(a)], members[int(b)]
+        return int(members[int(a)]), int(members[int(b)])
 
 
-def _sample_class(prior: dict[str, float], rng: np.random.Generator) -> str:
-    labels = list(prior)
-    probs = np.asarray([prior[label] for label in labels])
-    return labels[int(rng.choice(len(labels), p=probs / probs.sum()))]
+def _sample_class(prior: dict[str, float], rng: np.random.Generator) -> int:
+    """Position in ``prior`` of a class drawn from it."""
+    probs = np.asarray(list(prior.values()))
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+
+def _draw_mix(
+    prior: dict[str, float],
+    index: _ClassIndex,
+    rng: np.random.Generator,
+    n_features: int,
+    clusters: FeatureClusters | None = None,
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """Class position in ``prior``, donors A and B, and per-feature bits (1 takes A)."""
+    k = _sample_class(prior, rng)
+    ia, ib = index.sample_pair(list(prior)[k], rng)
+    if clusters is None:
+        return k, ia, ib, MixMask.draw(rng, n_features).bits
+    bits = [0] * n_features
+    for group in clusters.clusters:
+        lam = float(rng.random())
+        take_a = int(rng.random() < lam)
+        for j in group:
+            bits[j] = take_a
+    return k, ia, ib, tuple(bits)
 
 
 def mix_rows(x_a: Row, x_b: Row, bits: tuple[int, ...], label: str, n_features: int) -> Row:
@@ -111,10 +129,8 @@ def cutmix_once(
 ) -> Row:
     """One CutMix row: same-class donor pair mixed under a per-feature mask."""
     index = index or _ClassIndex(train)
-    label = _sample_class(prior, rng)
-    ia, ib = index.sample_pair(label, rng)
-    mask = MixMask.draw(rng, train.schema.n_features)
-    return mix_rows(train.row(ia), train.row(ib), mask.bits, label, train.schema.n_features)
+    k, ia, ib, bits = _draw_mix(prior, index, rng, train.schema.n_features)
+    return mix_rows(train.row(ia), train.row(ib), bits, list(prior)[k], train.schema.n_features)
 
 
 def cutmixplus_once(
@@ -126,15 +142,8 @@ def cutmixplus_once(
 ) -> Row:
     """One CutMixPlus row: every feature group comes whole from one donor."""
     index = index or _ClassIndex(train)
-    label = _sample_class(prior, rng)
-    ia, ib = index.sample_pair(label, rng)
-    bits = [0] * train.schema.n_features
-    for group in clusters.clusters:
-        lam = float(rng.random())
-        take_a = int(rng.random() < lam)
-        for j in group:
-            bits[j] = take_a
-    return mix_rows(train.row(ia), train.row(ib), tuple(bits), label, train.schema.n_features)
+    k, ia, ib, bits = _draw_mix(prior, index, rng, train.schema.n_features, clusters)
+    return mix_rows(train.row(ia), train.row(ib), bits, list(prior)[k], train.schema.n_features)
 
 
 class _IjfModel:
@@ -147,30 +156,24 @@ class _IjfModel:
         numeric = train.numeric_values()
         self.means = numeric.mean(axis=0) if numeric.shape[1] else np.empty(0)
         self.stds = numeric.std(axis=0) if numeric.shape[1] else np.empty(0)
-        self.categories: list[tuple[list[str], np.ndarray]] = []
-        for j in train.schema.categorical_indices:
-            col = [row[j] for row in train.rows]
-            values = list(dict.fromkeys(col))
-            freqs = np.asarray([col.count(v) for v in values], dtype=np.float64)
-            self.categories.append((values, freqs / freqs.sum()))
-        self.labels: tuple[list[str], np.ndarray] | None = None
-        if train.schema.target is not None:
-            col = train.target_values()
-            values = list(dict.fromkeys(col))
-            freqs = np.asarray([col.count(v) for v in values], dtype=np.float64)
-            self.labels = (values, freqs / freqs.sum())
+        # Categorical features, then the label; categories in first-appearance order.
+        self.vocabularies = train.vocabularies
+        self.probs = [np.bincount(train.column(i)) / train.n_rows for i in train.schema.coded_indices]
+
+    def draw(self, rng: np.random.Generator) -> list[float | int]:
+        """One value per schema column: numbers, or category codes."""
+        cells: list[float | int] = [0] * self.schema.row_width()
+        for j, mean, std in zip(self.schema.numerical_indices, self.means, self.stds):
+            cells[j] = float(mean + std * rng.standard_normal())
+        for j, probs in zip(self.schema.coded_indices, self.probs):
+            cells[j] = int(rng.choice(len(probs), p=probs))
+        return cells
 
     def sample(self, rng: np.random.Generator) -> Row:
-        cells: list[Cell] = [None] * self.schema.n_features  # type: ignore[list-item]
-        for k, j in enumerate(self.schema.numerical_indices):
-            cells[j] = float(self.means[k] + self.stds[k] * rng.standard_normal())
-        for k, j in enumerate(self.schema.categorical_indices):
-            values, probs = self.categories[k]
-            cells[j] = values[int(rng.choice(len(values), p=probs))]
-        if self.labels is not None:
-            values, probs = self.labels
-            cells.append(values[int(rng.choice(len(values), p=probs))])
-        return tuple(cells)
+        return tuple(
+            cell if vocabulary is None else vocabulary[cell]  # type: ignore[index]
+            for cell, vocabulary in zip(self.draw(rng), self.vocabularies)
+        )
 
 
 def ijf_sample(train: Table, rng: np.random.Generator) -> Row:
@@ -188,13 +191,13 @@ def augment(train: Table, config: AugmentConfig) -> Table:
     if n_new == 0:
         return train
 
+    schema = train.schema
     streams = np.random.SeedSequence(config.seed).spawn(n_new)
-    rows = list(train.rows)
 
     if config.mode is AugmentMode.IJF:
         model = _IjfModel(train)
-        rows.extend(model.sample(np.random.default_rng(s)) for s in streams)
-        return Table(train.schema, rows)
+        new = zip(*(model.draw(np.random.default_rng(s)) for s in streams))
+        return concat(train, Table.from_columns(schema, list(new), train.vocabularies))
 
     prior = class_prior(train)
     index = _ClassIndex(train)
@@ -202,15 +205,17 @@ def augment(train: Table, config: AugmentConfig) -> Table:
         if len(members) < 2:
             raise ClassTooSmallError(label, len(members))
 
+    clusters = None
     if config.mode is AugmentMode.CUTMIXPLUS:
         clusters = cluster_features(association_matrix(train), config.cluster_threshold)
-        rows.extend(
-            cutmixplus_once(train, prior, clusters, np.random.default_rng(s), index)
-            for s in streams
-        )
-    else:
-        rows.extend(
-            cutmix_once(train, prior, np.random.default_rng(s), index)
-            for s in streams
-        )
-    return Table(train.schema, rows)
+    draws = [
+        _draw_mix(prior, index, np.random.default_rng(s), schema.n_features, clusters)
+        for s in streams
+    ]
+    # The prior lists classes in label-code order, so a class position is its code.
+    labels, donor_a, donor_b, bits = (np.asarray(column) for column in zip(*draws))
+    columns = [
+        np.where(bits[:, j] == 1, train.column(j)[donor_a], train.column(j)[donor_b])
+        for j in range(schema.n_features)
+    ]
+    return concat(train, Table.from_columns(schema, columns + [labels], train.vocabularies))

@@ -2,8 +2,9 @@
 
 Every command emits machine-readable JSON that embeds the fully resolved
 run configuration; re-running a command from that configuration reproduces
-its outputs byte for byte. Exit code 2 flags usage errors (bad flags,
-missing input files), 1 flags data errors, 0 success.
+its outputs byte for byte. Exit code 2 flags usage errors (bad flags or
+flag values outside the library's ranges, missing input files), 1 flags data
+errors, 0 success.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,29 +48,37 @@ class _UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _run_config(args: argparse.Namespace) -> dict:
+    """The resolved flags of a command, which replay it; display flags are left out."""
+    return {k: v for k, v in vars(args).items() if k not in ("handler", "pretty")}
+
+
+def _checked(convert, accept, requirement: str):
+    """An argparse type that converts the text and requires ``accept`` (which NaN fails)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+# The ranges the library enforces, checked before any input is read.
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_ratio_threshold = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     _require_files(args.train, args.synthetic, args.schema)
-    run_config = {
-        "command": "audit",
-        "train": args.train,
-        "synthetic": args.synthetic,
-        "schema": args.schema,
-        "threshold": args.threshold,
-        "bins": args.bins,
-        "threads": args.threads,
-        "out": args.out,
-        "histogram_csv": args.histogram_csv,
-    }
     schema = load_schema(args.schema)
     train = load_csv(args.train, schema)
     synthetic = load_csv(args.synthetic, schema)
@@ -76,7 +86,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         synthetic, train, threshold=args.threshold, bins=args.bins, threads=args.threads
     )
     payload = report.to_dict()
-    payload["run_config"] = run_config
+    payload["run_config"] = _run_config(args)
     _dump_json(payload, args.out)
     if args.histogram_csv:
         report.write_histogram_csv(args.histogram_csv)
@@ -89,17 +99,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     _require_files(args.train, args.schema)
-    run_config = {
-        "command": "augment",
-        "train": args.train,
-        "schema": args.schema,
-        "mode": args.mode,
-        "ratio": args.ratio,
-        "seed": args.seed,
-        "cluster_threshold": args.cluster_threshold,
-        "threads": args.threads,
-        "out": args.out,
-    }
     schema = load_schema(args.schema)
     train = load_csv(args.train, schema)
     config = AugmentConfig(
@@ -112,7 +111,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     write_csv(augmented, args.out)
     _dump_json(
         {
-            "run_config": run_config,
+            "run_config": _run_config(args),
             "rows_in": train.n_rows,
             "rows_out": augmented.n_rows,
         },
@@ -124,23 +123,13 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     _require_files(args.real, args.synthetic, args.schema, args.holdout)
-    run_config = {
-        "command": "fidelity",
-        "real": args.real,
-        "synthetic": args.synthetic,
-        "schema": args.schema,
-        "holdout": args.holdout,
-        "seed": args.seed,
-        "threads": args.threads,
-        "out": args.out,
-    }
     schema = load_schema(args.schema)
     real = load_csv(args.real, schema)
     synthetic = load_csv(args.synthetic, schema)
     holdout = load_csv(args.holdout, schema) if args.holdout else None
     report = full_report(real, synthetic, holdout=holdout, seed=args.seed, threads=args.threads)
     payload = report.to_dict()
-    payload["run_config"] = run_config
+    payload["run_config"] = _run_config(args)
     _dump_json(payload, args.out)
     if args.pretty:
         for key, value in sorted(report.to_dict().items()):
@@ -152,15 +141,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     _require_files(args.train, args.schema)
-    run_config = {
-        "command": "cluster",
-        "train": args.train,
-        "schema": args.schema,
-        "threshold": args.threshold,
-        "eta_mapping": args.eta_mapping,
-        "threads": args.threads,
-        "out": args.out,
-    }
     schema = load_schema(args.schema)
     train = load_csv(args.train, schema)
     assoc = association_matrix(train, eta_mapping=args.eta_mapping)
@@ -168,26 +148,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     payload = {
         "clusters": clusters.member_names(schema.feature_names),
         "threshold": args.threshold,
-        "run_config": run_config,
+        "run_config": _run_config(args),
     }
     print(_dump_json(payload, args.out), end="")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    run_config = {
-        "command": "simulate",
-        "n_latents": args.n_latents,
-        "dim": args.dim,
-        "steps": args.steps,
-        "trajectories": args.trajectories,
-        "seed": args.seed,
-        "horizon": args.horizon,
-        "tolerance": args.tolerance,
-        "threads": args.threads,
-        "out": args.out,
-        "emit_trajectories": args.emit_trajectories,
-    }
     latents = LatentSet(
         np.random.default_rng(args.seed).standard_normal((args.n_latents, args.dim))
     )
@@ -195,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SdeConfig(steps=args.steps, seed=args.seed, trajectories=args.trajectories)
     result = run_replication(latents, schedule, config, tolerance=args.tolerance)
     payload = result.to_dict()
-    payload["run_config"] = run_config
+    payload["run_config"] = _run_config(args)
     text = _dump_json(payload, args.out)
     print(text, end="")
 
@@ -233,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--synthetic", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--threshold", type=float, default=memorization.DEFAULT_THRESHOLD)
-    p.add_argument("--bins", type=int, default=memorization.DEFAULT_BINS)
+    p.add_argument("--threshold", type=_ratio_threshold, default=memorization.DEFAULT_THRESHOLD)
+    p.add_argument("--bins", type=_positive_int, default=memorization.DEFAULT_BINS)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--histogram-csv", default=None, help="optional (bin_left, count) CSV")
     p.add_argument("--pretty", action="store_true")
@@ -244,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--mode", choices=[m.value for m in AugmentMode], required=True)
-    p.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cluster-threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
+    p.add_argument("--ratio", type=_non_negative, default=DEFAULT_RATIO)
+    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--cluster-threshold", type=_unit_interval, default=DEFAULT_CLUSTER_THRESHOLD)
     p.add_argument("--out", required=True, help="augmented CSV path")
     p.set_defaults(handler=_cmd_augment)
 
@@ -255,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--holdout", default=None, help="enables the DCR protocol")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(handler=_cmd_fidelity)
@@ -263,18 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="inspect correlation-based feature clusters")
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_CLUSTER_THRESHOLD)
+    p.add_argument("--threshold", type=_unit_interval, default=DEFAULT_CLUSTER_THRESHOLD)
     p.add_argument("--eta-mapping", choices=["sqrt", "squared"], default="sqrt")
     p.add_argument("--out", default=None, help="optional JSON path (also printed)")
     p.set_defaults(handler=_cmd_cluster)
 
     p = sub.add_parser("simulate", help="replication check for the optimal-score SDE")
-    p.add_argument("--n-latents", type=int, default=16)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--trajectories", type=int, default=256)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--n-latents", type=_positive_int, default=16)
+    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--steps", type=_positive_int, default=10_000)
+    p.add_argument("--trajectories", type=_positive_int, default=256)
+    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--horizon", type=_positive, default=1.0)
     p.add_argument("--tolerance", type=float, default=1e-2)
     p.add_argument("--out", default=None, help="optional JSON path (also printed)")
     p.add_argument("--emit-trajectories", default=None, help="optional per-step CSV path")

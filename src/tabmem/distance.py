@@ -4,7 +4,9 @@ The distance between two rows is the max-min-normalized Euclidean distance
 over numerical features plus the count of differing categorical features,
 divided by the total feature count. The normalizer is fitted over a declared
 pair population (for an audit: all generated x train pairs) and clamps
-out-of-range values into [0, 1].
+out-of-range values into [0, 1]. Categories are compared as integer codes,
+with the train table's codes recoded into a vocabulary shared with the
+generated table (``table.recode``), so equal codes mean equal strings.
 
 Every batched function here runs one kernel over blocks of query rows, and
 its results are bit-for-bit fixed by this contract:
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyTableError, SchemaMismatchError, TrainTooSmallError
 from .parallel import map_blocks
-from .table import Cell, FeatureKind, Schema, Table
+from .table import Cell, Schema, Table, recode
 
 T = TypeVar("T")
 
@@ -85,32 +87,18 @@ class NeighborResult:
     nn2_distance: float
 
 
-def _split_row(row: Sequence[Cell], schema: Schema) -> tuple[np.ndarray, list[str]]:
-    if len(row) != schema.row_width():
-        raise SchemaMismatchError(
-            f"row has {len(row)} cells, schema expects {schema.row_width()}"
-        )
-    numeric = []
-    categorical = []
-    for i, (name, kind) in enumerate(schema.features):
-        if kind is FeatureKind.NUMERICAL:
-            if isinstance(row[i], str):
-                raise SchemaMismatchError(f"column {name!r} expects a number, got {row[i]!r}")
-            numeric.append(float(row[i]))
-        else:
-            if not isinstance(row[i], str):
-                raise SchemaMismatchError(f"column {name!r} expects a category, got {row[i]!r}")
-            categorical.append(row[i])
-    return np.asarray(numeric, dtype=np.float64), categorical
+def _split_pair(a: Sequence[Cell], b: Sequence[Cell], schema: Schema) -> tuple[np.ndarray, int]:
+    """Numerical differences and the count of differing categories of two rows,
+    checked as ``Table`` checks every row."""
+    pair = Table(schema, [a, b])
+    numeric, codes = pair.numeric_values(), pair.category_codes()
+    return numeric[0] - numeric[1], int(np.count_nonzero(codes[0] != codes[1]))
 
 
 def raw_numeric_distance(a: Sequence[Cell], b: Sequence[Cell], schema: Schema) -> float:
     """Euclidean distance over numerical features, in original units."""
-    a_num, _ = _split_row(a, schema)
-    b_num, _ = _split_row(b, schema)
-    if a_num.size == 0:
-        return 0.0
-    return float(np.sqrt(np.sum((a_num - b_num) ** 2)))
+    diff, _ = _split_pair(a, b, schema)
+    return float(np.sqrt(np.sum(diff ** 2))) if diff.size else 0.0
 
 
 def mixed_distance(
@@ -120,12 +108,8 @@ def mixed_distance(
     norm: DistanceNormalizer,
 ) -> float:
     """Per-pair mixed distance: (normalized numeric + differing categories) / M."""
-    a_num, a_cat = _split_row(a, schema)
-    b_num, b_cat = _split_row(b, schema)
-    numeric_part = 0.0
-    if a_num.size:
-        numeric_part = norm.normalize(float(np.sqrt(np.sum((a_num - b_num) ** 2))))
-    hamming = sum(1 for x, y in zip(a_cat, b_cat) if x != y)
+    diff, hamming = _split_pair(a, b, schema)
+    numeric_part = norm.normalize(float(np.sqrt(np.sum(diff ** 2)))) if diff.size else 0.0
     return (numeric_part + hamming) / schema.n_features
 
 
@@ -134,22 +118,6 @@ def _check_pair(generated: Table, train: Table) -> None:
         raise SchemaMismatchError("generated and train tables must share a schema")
     if generated.n_rows == 0 or train.n_rows == 0:
         raise EmptyTableError("both tables need at least one row")
-
-
-def _encode_categories(query_cat: np.ndarray, ref_cat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly integer-code categorical columns of two tables for fast compares."""
-    n_cols = query_cat.shape[1]
-    q_codes = np.empty((query_cat.shape[0], n_cols), dtype=np.int32)
-    r_codes = np.empty((ref_cat.shape[0], n_cols), dtype=np.int32)
-    for j in range(n_cols):
-        mapping: dict[str, int] = {}
-        for source, dest in ((query_cat, q_codes), (ref_cat, r_codes)):
-            col = source[:, j]
-            out = dest[:, j]
-            for i, value in enumerate(col):
-                code = mapping.setdefault(value, len(mapping))
-                out[i] = code
-    return q_codes, r_codes
 
 
 def _prescale(*numeric: np.ndarray) -> float:
@@ -187,11 +155,12 @@ class _Kernel:
         self.n_ref = train.n_rows
         self.n_features = generated.schema.n_features
         if categorical:
-            q_codes, r_codes = _encode_categories(
-                generated.categorical_values(), train.categorical_values()
-            )
-            self.query_codes = q_codes
-            self.ref_codes_t = np.ascontiguousarray(r_codes.T)
+            self.query_codes = generated.category_codes()
+            self.ref_codes_t = np.array(
+                [recode(train.column(i), train.vocabularies[i], generated.vocabularies[i])[0]
+                 for i in generated.schema.categorical_indices],
+                dtype=np.int32,
+            ).reshape(-1, self.n_ref)
 
     def squared(self, lo: int, hi: int) -> np.ndarray:
         """Squared numerical distances, summed in column order."""

@@ -11,6 +11,7 @@ categorical column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .errors import (
     SchemaMismatchError,
     TooFewRowsError,
 )
-from .table import FeatureKind, Table, concat
+from .table import FeatureKind, Table, concat, encode, recode
 
 DEFAULT_TREND_BINS = 10
 SUPPORT_LEVELS = 20
@@ -42,23 +43,21 @@ def ks_complement(real: Sequence[float], syn: Sequence[float]) -> float:
     return 1.0 - float(np.max(np.abs(f_r - f_s)))
 
 
-def _frequencies(values: Sequence[str]) -> dict[str, float]:
-    counts: dict[str, float] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0.0) + 1.0
-    total = len(values)
-    return {k: c / total for k, c in counts.items()}
+def _tv_complement(real: np.ndarray, syn: np.ndarray) -> float:
+    """1 minus the TVD of two integer-keyed samples, summed exactly so no
+    ordering of the keys matters."""
+    if real.size == 0 or syn.size == 0:
+        raise EmptyColumnError("TVD needs non-empty columns")
+    keys, inverse = np.unique(np.concatenate([real, syn]), return_inverse=True)
+    r = np.bincount(inverse[: real.size], minlength=keys.size) / real.size
+    s = np.bincount(inverse[real.size:], minlength=keys.size) / syn.size
+    return 1.0 - 0.5 * math.fsum(np.abs(r - s).tolist())
 
 
 def tv_complement(real: Sequence[str], syn: Sequence[str]) -> float:
     """1 minus the total variation distance over the union of categories."""
-    if len(real) == 0 or len(syn) == 0:
-        raise EmptyColumnError("TVD needs non-empty columns")
-    r = _frequencies(real)
-    s = _frequencies(syn)
-    categories = set(r) | set(s)
-    tvd = 0.5 * sum(abs(r.get(c, 0.0) - s.get(c, 0.0)) for c in categories)
-    return 1.0 - tvd
+    codes, _ = encode([*real, *syn])
+    return _tv_complement(codes[: len(real)], codes[len(real):])
 
 
 def _check_same_schema(real: Table, syn: Table) -> None:
@@ -66,39 +65,32 @@ def _check_same_schema(real: Table, syn: Table) -> None:
         raise SchemaMismatchError("real and synthetic tables must share a schema")
 
 
-def _scored_columns(table: Table) -> list[tuple[FeatureKind, list]]:
-    """Feature columns plus the label column (as categorical) when present."""
-    columns = [
-        (kind, table.feature_column(i))
-        for i, (_, kind) in enumerate(table.schema.features)
-    ]
-    if table.schema.target is not None:
-        columns.append((FeatureKind.CATEGORICAL, table.target_values()))
+def _scored_columns(real: Table, syn: Table) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Each column of both tables as (real, syn, k): values with k = 0, or
+    codes over a vocabulary of k categories shared by both tables."""
+    columns = []
+    for i, vocabulary in enumerate(real.vocabularies):
+        if vocabulary is None:
+            columns.append((real.column(i), syn.column(i), 0))
+        else:
+            syn_codes, shared = recode(syn.column(i), syn.vocabularies[i], vocabulary)
+            columns.append((real.column(i), syn_codes, len(shared)))
     return columns
 
 
 def shape_score(real: Table, syn: Table) -> float:
     """Mean per-column distributional fidelity."""
     _check_same_schema(real, syn)
-    scores = []
-    for (kind, r_col), (_, s_col) in zip(_scored_columns(real), _scored_columns(syn)):
-        if kind is FeatureKind.NUMERICAL:
-            scores.append(ks_complement(r_col, s_col))
-        else:
-            scores.append(tv_complement(r_col, s_col))
+    scores = [
+        _tv_complement(r_col, s_col) if k else ks_complement(r_col, s_col)
+        for r_col, s_col, k in _scored_columns(real, syn)
+    ]
     return float(np.mean(scores))
 
 
-def _bin_labels(values: Sequence[float], edges: np.ndarray) -> list[str]:
+def _bin_codes(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # Right-open bins; values outside the fitted range clamp into the end bins.
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
-    return [f"bin{i}" for i in idx]
-
-
-def _joint_tv_complement(a_real, b_real, a_syn, b_syn) -> float:
-    pairs_real = [f"{x}\x1f{y}" for x, y in zip(a_real, b_real)]
-    pairs_syn = [f"{x}\x1f{y}" for x, y in zip(a_syn, b_syn)]
-    return tv_complement(pairs_real, pairs_syn)
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
 
 
 def trend_score(real: Table, syn: Table, bins: int = DEFAULT_TREND_BINS) -> float:
@@ -111,32 +103,29 @@ def trend_score(real: Table, syn: Table, bins: int = DEFAULT_TREND_BINS) -> floa
     _check_same_schema(real, syn)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    real_cols = _scored_columns(real)
-    syn_cols = _scored_columns(syn)
-    if len(real_cols) < 2:
+    columns = _scored_columns(real, syn)
+    if len(columns) < 2:
         raise SchemaMismatchError("trend score needs at least 2 columns")
 
-    def binned(col_real: list, col_syn: list) -> tuple[list[str], list[str]]:
+    def coded(col_real: np.ndarray, col_syn: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        if k:
+            return col_real.astype(np.int64), col_syn.astype(np.int64), k
         lo = float(np.min(col_real))
         hi = float(np.max(col_real))
         edges = np.linspace(lo, hi, bins + 1) if hi > lo else np.array([lo, lo])
-        return _bin_labels(col_real, edges), _bin_labels(col_syn, edges)
+        return _bin_codes(col_real, edges), _bin_codes(col_syn, edges), len(edges) - 1
 
+    codes = [coded(*column) for column in columns]
     scores = []
-    for i in range(len(real_cols)):
-        for j in range(i + 1, len(real_cols)):
-            kind_i, r_i = real_cols[i]
-            kind_j, r_j = real_cols[j]
-            s_i = syn_cols[i][1]
-            s_j = syn_cols[j][1]
-            if kind_i is FeatureKind.NUMERICAL and kind_j is FeatureKind.NUMERICAL:
+    for i in range(len(columns)):
+        for j in range(i + 1, len(columns)):
+            r_i, s_i, k_i = columns[i]
+            r_j, s_j, k_j = columns[j]
+            if not k_i and not k_j:
                 scores.append(1.0 - abs(pearson(r_i, r_j) - pearson(s_i, s_j)) / 2.0)
                 continue
-            if kind_i is FeatureKind.NUMERICAL:
-                r_i, s_i = binned(r_i, s_i)
-            if kind_j is FeatureKind.NUMERICAL:
-                r_j, s_j = binned(r_j, s_j)
-            scores.append(_joint_tv_complement(r_i, r_j, s_i, s_j))
+            (r_i, s_i, _), (r_j, s_j, k_j) = codes[i], codes[j]
+            scores.append(_tv_complement(r_i * k_j + r_j, s_i * k_j + s_j))
     return float(np.mean(scores))
 
 
@@ -170,37 +159,11 @@ C2ST_LEARNING_RATE = 0.1
 C2ST_L2 = 1e-3
 
 
-def _encode_features(tables: list[Table]) -> list[np.ndarray]:
-    """One-hot categoricals (categories fitted on the union) + raw numericals."""
-    schema = tables[0].schema
-    categories: list[list[str]] = []
-    cat_idx = schema.categorical_indices
-    for pos, _ in enumerate(cat_idx):
-        seen: dict[str, None] = {}
-        for t in tables:
-            for v in t.categorical_values()[:, pos]:
-                seen.setdefault(v, None)
-        categories.append(list(seen))
-    label_values: list[str] = []
-    if schema.target is not None:
-        seen = {}
-        for t in tables:
-            for v in t.target_values():
-                seen.setdefault(v, None)
-        label_values = list(seen)
-
-    encoded = []
-    for t in tables:
-        blocks = [t.numeric_values()]
-        cats = t.categorical_values()
-        for pos, values in enumerate(categories):
-            col = cats[:, pos]
-            blocks.append(np.asarray([[1.0 if v == c else 0.0 for c in values] for v in col]))
-        if schema.target is not None:
-            col = t.target_values()
-            blocks.append(np.asarray([[1.0 if v == c else 0.0 for c in label_values] for v in col]))
-        encoded.append(np.hstack([b.reshape(t.n_rows, -1) for b in blocks]))
-    return encoded
+def _encode_features(real: Table, syn: Table) -> tuple[np.ndarray, np.ndarray]:
+    """Raw numericals, then one-hot categoricals and label over both tables' categories."""
+    blocks = [(real.numeric_values(), syn.numeric_values())]
+    blocks += [(np.eye(k)[r], np.eye(k)[s]) for r, s, k in _scored_columns(real, syn) if k]
+    return np.hstack([r for r, _ in blocks]), np.hstack([s for _, s in blocks])
 
 
 @dataclass
@@ -277,7 +240,7 @@ def c2st_score(real: Table, syn: Table, seed: int = 0) -> float:
     _check_same_schema(real, syn)
     if real.n_rows < 20 or syn.n_rows < 20:
         raise TooFewRowsError("C2ST needs at least 20 rows on each side")
-    real_x, syn_x = _encode_features([real, syn])
+    real_x, syn_x = _encode_features(real, syn)
     rng = np.random.default_rng(seed)
 
     def split80(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +273,7 @@ def _medoid_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances of ref and other rows to the ref medoid (lowest-index tie)."""
     sums = reduce_mixed(ref, ref, norm, lambda block: block.sum(axis=1), threads)
-    medoid = Table(ref.schema, [ref.row(int(np.argmin(np.concatenate(sums))))])
+    medoid = ref.take([int(np.argmin(np.concatenate(sums)))])
     d_ref = pairwise_mixed(ref, medoid, norm, threads)[:, 0]
     d_other = pairwise_mixed(other, medoid, norm, threads)[:, 0]
     return d_ref, d_other
@@ -363,7 +326,7 @@ def synthesize_ood(train: Table, rng: np.random.Generator) -> Table:
         raise EmptyTableError("cannot synthesize from an empty table")
     schema = train.schema
     observed = [
-        sorted(set(train.feature_column(i))) if kind is FeatureKind.CATEGORICAL else None
+        sorted(train.vocabularies[i]) if kind is FeatureKind.CATEGORICAL else None
         for i, (_, kind) in enumerate(schema.features)
     ]
     rows = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -85,6 +84,11 @@ class Schema:
     def categorical_indices(self) -> list[int]:
         return [i for i, (_, k) in enumerate(self.features) if k is FeatureKind.CATEGORICAL]
 
+    @property
+    def coded_indices(self) -> list[int]:
+        """Columns a table stores as category codes: categorical features, then the target."""
+        return self.categorical_indices + ([self.n_features] if self.target is not None else [])
+
     def row_width(self) -> int:
         return self.n_features + (1 if self.target is not None else 0)
 
@@ -127,79 +131,162 @@ def _check_cell(value: Cell, kind: FeatureKind, column: str) -> Cell:
         return value
     if not isinstance(value, str):
         raise SchemaMismatchError(f"column {column!r} expects a category, got {value!r}")
-    return sys.intern(value)
+    return value
+
+
+def encode(values: Iterable[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of ``values`` and their vocabulary in first-appearance order; the
+    one place where category strings become codes."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), dtype=np.int32)
+    return codes, tuple(index)
+
+
+def recode(
+    codes: np.ndarray, vocabulary: Sequence[str], into: Sequence[str]
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``codes`` over ``vocabulary`` re-expressed in a vocabulary shared with ``into``.
+
+    The shared vocabulary is ``into``, then the categories of ``vocabulary``
+    that ``into`` lacks, in their order; codes over ``into`` stay valid.
+    """
+    shared_codes, shared = encode([*into, *vocabulary])
+    return shared_codes[len(into):][codes], shared
+
+
+def _first_appearance(codes: np.ndarray, vocabulary: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes renumbered so the vocabulary lists the categories present in first-appearance order."""
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)]
+    renumber = np.zeros(len(vocabulary), dtype=np.int32)
+    renumber[order] = np.arange(order.size)
+    return renumber[codes], tuple(vocabulary[k] for k in order)
+
+
+def _encode_cells(schema: Schema, cells: list[list[Cell]]) -> tuple[list, list]:
+    """Columns and vocabularies (None for numerical columns) of checked cells."""
+    coded = set(schema.coded_indices)
+    pairs = [encode(c) if i in coded else (c, None) for i, c in enumerate(cells)]  # type: ignore[arg-type]
+    return [c for c, _ in pairs], [v for _, v in pairs]
 
 
 class Table:
-    """Immutable mixed-type table: a schema plus kind-checked rows.
+    """Immutable mixed-type table stored by column.
 
-    Rows are stored as tuples; numerical and categorical feature blocks are
-    also materialized as read-only numpy arrays for batched distance work.
+    Numerical columns hold float64 values. Categorical columns and the label
+    hold int32 codes into vocabularies that list exactly the categories
+    present, in the order they first appear; class, category and one-hot
+    orders all follow from that. Row tuples are built only when asked for.
     """
 
     def __init__(self, schema: Schema, rows: Iterable[Sequence[Cell]]):
-        self.schema = schema
         width = schema.row_width()
-        checked: list[Row] = []
+        kinds = [kind for _, kind in schema.features] + [FeatureKind.CATEGORICAL]
+        checks = list(zip(kinds, schema.column_names))
+        cells: list[list[Cell]] = [[] for _ in checks]
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise SchemaMismatchError(
                     f"row {r} has {len(row)} cells, schema expects {width}"
                 )
-            cells = [
-                _check_cell(row[i], kind, name)
-                for i, (name, kind) in enumerate(schema.features)
-            ]
-            if schema.target is not None:
-                cells.append(_check_cell(row[-1], FeatureKind.CATEGORICAL, schema.target))
-            checked.append(tuple(cells))
-        self._rows: tuple[Row, ...] = tuple(checked)
+            for column, value, (kind, name) in zip(cells, row, checks):
+                column.append(_check_cell(value, kind, name))
+        self._set(schema, *_encode_cells(schema, cells))
 
-        num_idx = schema.numerical_indices
-        cat_idx = schema.categorical_indices
-        self._numeric = np.array(
-            [[row[i] for i in num_idx] for row in self._rows], dtype=np.float64
-        ).reshape(len(self._rows), len(num_idx))
-        self._numeric.setflags(write=False)
-        self._categorical = np.array(
-            [[row[i] for i in cat_idx] for row in self._rows], dtype=object
-        ).reshape(len(self._rows), len(cat_idx))
-        self._categorical.setflags(write=False)
+    @classmethod
+    def from_columns(cls, schema: Schema, columns: Sequence, vocabularies: Sequence) -> "Table":
+        """A table from one array per schema column, trusted as given (no cell
+        is checked): finite numbers with vocabulary None, or integer codes into
+        a vocabulary that may list unused categories in any order."""
+        table = cls.__new__(cls)
+        table._set(schema, columns, vocabularies)
+        return table
+
+    def _set(self, schema: Schema, columns: Sequence, vocabularies: Sequence) -> None:
+        self.schema = schema
+        self._columns: list[np.ndarray] = []
+        self._vocabularies: list[tuple[str, ...] | None] = []
+        for column, vocabulary in zip(columns, vocabularies):
+            if vocabulary is None:
+                column = np.array(column, dtype=np.float64)
+            else:
+                column, vocabulary = _first_appearance(np.asarray(column, dtype=np.intp), vocabulary)
+            column.setflags(write=False)
+            self._columns.append(column)
+            self._vocabularies.append(vocabulary)
+        self._numeric: np.ndarray | None = None
+        self._rows: tuple[Row, ...] | None = None
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return self._columns[0].size
 
     @property
     def rows(self) -> tuple[Row, ...]:
+        if self._rows is None:
+            self._rows = tuple(zip(*(
+                column.tolist() if vocabulary is None else np.array(vocabulary, dtype=object)[column].tolist()
+                for column, vocabulary in zip(self._columns, self._vocabularies)
+            )))
         return self._rows
 
     def row(self, i: int) -> Row:
-        return self._rows[i]
+        return self.rows[i]
+
+    def take(self, indices: Sequence[int] | np.ndarray) -> "Table":
+        """The rows at ``indices``, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return Table.from_columns(self.schema, [c[idx] for c in self._columns], self.vocabularies)
+
+    def column(self, index: int) -> np.ndarray:
+        """Schema column ``index`` (the label is ``n_features``), read-only:
+        float64 values, or int32 codes into ``vocabularies[index]``."""
+        return self._columns[index]
+
+    @property
+    def vocabularies(self) -> tuple[tuple[str, ...] | None, ...]:
+        """Per schema column, its categories in first-appearance order (None if numerical)."""
+        return tuple(self._vocabularies)
 
     def numeric_values(self) -> np.ndarray:
         """(n_rows, |numerical features|) float64 view, read-only."""
+        if self._numeric is None:
+            idx = self.schema.numerical_indices
+            block = np.array([self._columns[i] for i in idx]).reshape(len(idx), self.n_rows)
+            self._numeric = np.ascontiguousarray(block.T)
+            self._numeric.setflags(write=False)
         return self._numeric
+
+    def category_codes(self) -> np.ndarray:
+        """(n_rows, |categorical features|) int32 codes; see ``vocabularies``."""
+        idx = self.schema.categorical_indices
+        return np.array([self._columns[i] for i in idx], dtype=np.int32).reshape(len(idx), self.n_rows).T
 
     def categorical_values(self) -> np.ndarray:
         """(n_rows, |categorical features|) object array of category strings."""
-        return self._categorical
+        cells = np.array(self.rows, dtype=object).reshape(self.n_rows, self.schema.row_width())
+        return cells[:, self.schema.categorical_indices]
 
     def target_values(self) -> list[str]:
         if self.schema.target is None:
             raise SchemaMismatchError("table has no target column")
-        return [row[-1] for row in self._rows]  # type: ignore[misc]
+        return [row[-1] for row in self.rows]  # type: ignore[misc]
 
     def feature_column(self, index: int) -> list[Cell]:
-        return [row[index] for row in self._rows]
+        return [row[index] for row in self.rows]
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.n_rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
-        return self.schema == other.schema and self._rows == other._rows
+        # First-appearance vocabularies make equal cells equal codes.
+        return (
+            self.schema == other.schema
+            and self._vocabularies == other._vocabularies
+            and all(map(np.array_equal, self._columns, other._columns))
+        )
 
     def __repr__(self) -> str:
         return f"Table({self.n_rows} rows x {self.schema.row_width()} columns)"
@@ -225,32 +312,30 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
                 f"{path}: header mismatch (missing from CSV: {sorted(missing)}, "
                 f"not in schema: {sorted(extra)})"
             )
-        order = [header.index(name) for name in expected]
-        kinds = [kind for _, kind in schema.features]
-        if schema.target is not None:
-            kinds.append(FeatureKind.CATEGORICAL)
-
-        rows: list[list[Cell]] = []
+        numerical = set(schema.numerical_indices)
+        cells: list[list[Cell]] = [[] for _ in expected]
+        plan = [
+            (header.index(name), dest in numerical, name, cells[dest])
+            for dest, name in enumerate(expected)
+        ]
         for r, raw in enumerate(reader):
             if len(raw) != len(header):
                 raise SchemaMismatchError(f"{path}: row {r} has {len(raw)} cells, header has {len(header)}")
-            cells: list[Cell] = []
-            for dest, src in enumerate(order):
+            for src, is_numeric, name, column in plan:
                 text = raw[src]
                 if text == "":
-                    raise MissingValueError(r, expected[dest])
-                if kinds[dest] is FeatureKind.NUMERICAL:
+                    raise MissingValueError(r, name)
+                if is_numeric:
                     try:
                         value = float(text)
                     except ValueError:
-                        raise UnparsableNumericError(r, expected[dest], text) from None
+                        raise UnparsableNumericError(r, name, text) from None
                     if not math.isfinite(value):
-                        raise UnparsableNumericError(r, expected[dest], text)
-                    cells.append(value)
+                        raise UnparsableNumericError(r, name, text)
+                    column.append(value)
                 else:
-                    cells.append(text)
-            rows.append(cells)
-    return Table(schema, rows)
+                    column.append(text)
+    return Table.from_columns(schema, *_encode_cells(schema, cells))
 
 
 def write_csv(table: Table, path: str | Path) -> None:
@@ -261,16 +346,15 @@ def write_csv(table: Table, path: str | Path) -> None:
     """
     if table.n_rows == 0:
         raise EmptyTableError("refusing to write a table with no rows")
-    kinds = [kind for _, kind in table.schema.features]
+    # Cells are formatted row by row, so no column of strings is held at once.
+    columns = [
+        map(repr, map(float, column)) if vocabulary is None else np.array(vocabulary, dtype=object)[column]
+        for column, vocabulary in zip(table._columns, table._vocabularies)
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.schema.column_names)
-        for row in table.rows:
-            out = [repr(cell) if kind is FeatureKind.NUMERICAL else cell
-                   for cell, kind in zip(row, kinds)]
-            if table.schema.target is not None:
-                out.append(row[-1])
-            writer.writerow(out)
+        writer.writerows(zip(*columns))
 
 
 def split(table: Table, fractions: Sequence[float], seed: int) -> list[Table]:
@@ -293,17 +377,24 @@ def split(table: Table, fractions: Sequence[float], seed: int) -> list[Table]:
     parts: list[Table] = []
     start = 0
     for size in sizes:
-        idx = perm[start:start + size]
-        parts.append(Table(table.schema, [table.row(int(i)) for i in idx]))
+        parts.append(table.take(perm[start:start + size]))
         start += size
     return parts
 
 
 def concat(first: Table, *rest: Table) -> Table:
     """Stack tables sharing a schema, preserving row order."""
-    rows: list[Row] = list(first.rows)
-    for other in rest:
-        if other.schema != first.schema:
-            raise SchemaMismatchError("cannot concatenate tables with different schemas")
-        rows.extend(other.rows)
-    return Table(first.schema, rows)
+    if any(other.schema != first.schema for other in rest):
+        raise SchemaMismatchError("cannot concatenate tables with different schemas")
+    columns, vocabularies = [], []
+    for i, vocabulary in enumerate(first.vocabularies):
+        parts = [first.column(i)]
+        for other in rest:
+            if vocabulary is None:
+                parts.append(other.column(i))
+            else:
+                codes, vocabulary = recode(other.column(i), other.vocabularies[i], vocabulary)
+                parts.append(codes)
+        columns.append(np.concatenate(parts))
+        vocabularies.append(vocabulary)
+    return Table.from_columns(first.schema, columns, vocabularies)

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tabmem
 from tabmem.cli import argv_from_run_config, main
 from tabmem.table import FeatureKind, Schema, Table, load_csv, save_schema, write_csv
 
@@ -388,3 +393,80 @@ class TestNonFiniteOutput:
         report = json.loads(out.read_text())
         assert report["mem_auc"] == 1.0
         assert all(r == 0.0 for r in report["ratios"])
+
+
+def _command_argv(paths, command, out):
+    files = {
+        "audit": ["--train", paths["train"], "--synthetic", paths["synthetic"],
+                  "--schema", paths["schema"]],
+        "augment": ["--train", paths["train"], "--schema", paths["schema"], "--mode", "cutmix"],
+        "cluster": ["--train", paths["train"], "--schema", paths["schema"]],
+        "simulate": ["--steps", "10", "--trajectories", "2"],
+    }
+    return [command, *map(str, files[command]), "--out", str(out)]
+
+
+class TestBadArgumentValues:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--steps", "0"),
+            ("simulate", "--trajectories", "0"),
+            ("simulate", "--horizon", "0"),
+            ("simulate", "--horizon", "nan"),
+            ("simulate", "--n-latents", "0"),
+            ("simulate", "--dim", "0"),
+            ("simulate", "--seed", "-1"),
+            ("audit", "--threshold", "0"),
+            ("audit", "--threshold", "nan"),
+            ("audit", "--bins", "0"),
+            ("augment", "--ratio", "-1"),
+            ("augment", "--ratio", "nan"),
+            ("augment", "--cluster-threshold", "2"),
+            ("augment", "--seed", "-1"),
+            ("cluster", "--threshold", "-0.5"),
+            ("cluster", "--threshold", "nan"),
+        ],
+    )
+    def test_usage_error_before_any_input(self, workspace, capsys, command, flag, value):
+        paths, _ = workspace
+        out = paths["dir"] / "out.file"
+        with pytest.raises(SystemExit) as exc:
+            main([*_command_argv(paths, command, out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestHashSeedIndependence:
+    def test_fidelity_report_is_identical_under_two_hash_seeds(self, tmp_path):
+        # 60 categories give joint contingency tables large enough that a
+        # sum taken in string-hash order differs between hash seeds.
+        schema = Schema(features=(("x", NUM), ("c", CAT)), target="y")
+        rng = np.random.default_rng(1)
+
+        def table(n):
+            return Table(schema, [
+                (float(rng.normal()), f"k{int(rng.integers(60))}", "A" if rng.random() < 0.5 else "B")
+                for _ in range(n)
+            ])
+
+        write_csv(table(997), tmp_path / "real.csv")
+        write_csv(table(1013), tmp_path / "syn.csv")
+        save_schema(schema, tmp_path / "schema.json")
+        src = str(Path(tabmem.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run(
+                [sys.executable, "-m", "tabmem", "--threads", "1", "fidelity",
+                 "--real", "real.csv", "--synthetic", "syn.csv", "--schema", "schema.json",
+                 "--out", "fidelity.json"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.append((tmp_path / "fidelity.json").read_bytes())
+        assert reports[0] == reports[1]

@@ -1,3 +1,6 @@
+import collections
+import fractions
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -74,6 +77,27 @@ class TestTvComplement:
         real = ["A", "A", "B", "B"]
         syn = ["A", "A", "A", "B"]
         assert tv_complement(real, syn) == pytest.approx(0.75)
+
+    def test_exact_whatever_the_row_order_or_category_names(self):
+        # 60 categories: a sum taken in any category order would differ in
+        # the last bits between orders; the result must not.
+        rng = np.random.default_rng(11)
+        real = [f"k{k}" for k in rng.integers(60, size=997)]
+        syn = [f"k{k}" for k in rng.integers(60, size=1013)]
+        base = tv_complement(real, syn)
+        counts_r = collections.Counter(real)
+        counts_s = collections.Counter(syn)
+        exact = 1 - sum(
+            abs(fractions.Fraction(counts_r[c], len(real)) - fractions.Fraction(counts_s[c], len(syn)))
+            for c in set(real) | set(syn)
+        ) / 2
+        assert base == pytest.approx(float(exact), abs=1e-15)
+        for trial in range(10):
+            names = {f"k{i}": f"{trial}-{(7 * i + trial) % 60}" for i in range(60)}
+            r = [names[real[i]] for i in rng.permutation(len(real))]
+            s = [names[syn[i]] for i in rng.permutation(len(syn))]
+            assert tv_complement(r, s) == base
+            assert tv_complement(s, r) == base
 
 
 class TestShapeScore:

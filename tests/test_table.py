@@ -17,8 +17,11 @@ from tabmem.table import (
     FeatureKind,
     Schema,
     Table,
+    concat,
+    encode,
     load_csv,
     load_schema,
+    recode,
     save_schema,
     split,
     write_csv,
@@ -171,3 +174,150 @@ class TestSplit:
         assert sum(p.n_rows for p in parts) == n
         merged = sorted(row for p in parts for row in p.rows)
         assert merged == sorted(table.rows)
+
+
+def first_appearance(table, index):
+    return tuple(dict.fromkeys(row[index] for row in table.rows))
+
+
+def assert_invariant(table):
+    """Every vocabulary lists exactly its column's categories, in first-appearance order."""
+    for i in table.schema.coded_indices:
+        assert table.vocabularies[i] == first_appearance(table, i)
+        vocabulary = table.vocabularies[i]
+        assert [vocabulary[c] for c in table.column(i)] == [row[i] for row in table.rows]
+
+
+def columnar(schema, rows):
+    """The same rows built from columns, with codes over reversed vocabularies
+    that also list a category no row holds."""
+    columns, vocabularies = [], []
+    for i in range(schema.row_width()):
+        cells = [row[i] for row in rows]
+        if i in schema.coded_indices:
+            codes, vocabulary = encode(cells)
+            columns.append(len(vocabulary) - codes)
+            vocabularies.append(("unused",) + vocabulary[::-1])
+        else:
+            columns.append(np.array(cells))
+            vocabularies.append(None)
+    return Table.from_columns(schema, columns, vocabularies)
+
+
+cell_text = st.text(alphabet="ab,\"\n x", min_size=1, max_size=3)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schemas_and_rows(draw):
+    kinds = draw(st.lists(st.sampled_from([NUM, CAT]), min_size=1, max_size=4))
+    target = draw(st.booleans())
+    schema = Schema(tuple((f"f{i}", k) for i, k in enumerate(kinds)), "t" if target else None)
+    cell = [finite if k is NUM else cell_text for k in kinds] + ([cell_text] if target else [])
+    rows = draw(st.lists(st.tuples(*cell), min_size=1, max_size=12))
+    return schema, rows
+
+
+class TestColumnarTable:
+    @settings(max_examples=60, deadline=None)
+    @given(schemas_and_rows())
+    def test_three_construction_paths_agree(self, tmp_path_factory, schema_rows):
+        schema, rows = schema_rows
+        path = tmp_path_factory.mktemp("t") / "t.csv"
+        direct = Table(schema, rows)
+        write_csv(direct, path)
+        for table in (load_csv(path, schema), columnar(schema, rows)):
+            assert table == direct
+            assert table.rows == direct.rows
+            assert table.numeric_values().tobytes() == direct.numeric_values().tobytes()
+            for i in schema.coded_indices:
+                assert table.vocabularies[i] == direct.vocabularies[i] == first_appearance(direct, i)
+        assert_invariant(direct)
+
+    @settings(max_examples=30, deadline=None)
+    @given(schemas_and_rows(), st.integers(0, 2**31), st.integers(1, 3))
+    def test_split_and_concat_keep_the_invariant(self, schema_rows, seed, k):
+        schema, rows = schema_rows
+        table = Table(schema, rows)
+        parts = split(table, [1.0 / k] * k, seed=seed)
+        for part in parts:
+            assert_invariant(part)
+        merged = concat(*parts)
+        assert_invariant(merged)
+        assert sorted(merged.rows) == sorted(table.rows)
+        assert concat(table, *parts[::-1]).rows == table.rows + sum((p.rows for p in parts[::-1]), ())
+
+    def test_take_gathers_rows_in_order(self, small_table):
+        taken = small_table.take([3, 0, 3])
+        assert taken.rows == (small_table.row(3), small_table.row(0), small_table.row(3))
+        assert taken.vocabularies[2] == ("green", "red")
+        assert_invariant(taken)
+
+    def test_recode_keeps_the_first_vocabulary(self):
+        codes, vocabulary = encode(["q", "r", "q", "s"])
+        shared_codes, shared = recode(codes, vocabulary, into=("s", "p"))
+        assert shared == ("s", "p", "q", "r")
+        assert [shared[c] for c in shared_codes] == ["q", "r", "q", "s"]
+
+    def test_single_category_column(self, mixed_schema):
+        table = Table(mixed_schema, [(float(i), 0.0, "red", "only", "pos") for i in range(5)])
+        assert table.vocabularies[3] == ("only",)
+        assert table.category_codes()[:, 1].tolist() == [0] * 5
+
+    def test_all_duplicate_rows(self, mixed_schema):
+        row = (1.5, -2.0, "red", "circle", "pos")
+        table = Table(mixed_schema, [row] * 7)
+        assert table.rows == (row,) * 7
+        assert all(table.vocabularies[i] == (row[i],) for i in (2, 3, 4))
+        assert_invariant(concat(table, table))
+
+    def test_categorical_only_schema(self, tmp_path):
+        schema = Schema(features=(("a", CAT), ("b", CAT)))
+        table = Table(schema, [("x", "y"), ("z", "y")])
+        assert table.numeric_values().shape == (2, 0)
+        write_csv(table, tmp_path / "t.csv")
+        assert load_csv(tmp_path / "t.csv", schema) == table
+        assert table.categorical_values().tolist() == [["x", "y"], ["z", "y"]]
+
+    def test_numerical_only_schema(self, tmp_path):
+        schema = Schema(features=(("a", NUM), ("b", NUM)))
+        table = Table(schema, [(1.0, 2.0), (3.0, 4.0)])
+        assert table.category_codes().shape == (2, 0)
+        assert table.vocabularies == (None, None)
+        write_csv(table, tmp_path / "t.csv")
+        assert load_csv(tmp_path / "t.csv", schema) == table
+
+    def test_header_only_csv(self, tmp_path, mixed_schema):
+        path = tmp_path / "t.csv"
+        path.write_text("x,y,color,shape,label\n")
+        table = load_csv(path, mixed_schema)
+        assert table.n_rows == 0 and table.rows == ()
+        assert table.numeric_values().shape == (0, 2)
+        assert table.category_codes().shape == (0, 2)
+        assert table.vocabularies[4] == ()
+        assert table == Table(mixed_schema, [])
+
+
+class TestFirstBadCell:
+    def test_csv_names_the_first_bad_cell_in_schema_order(self, tmp_path, mixed_schema):
+        # Row 1 holds two errors: an empty color and an unparsable x. The
+        # columns are checked in schema order, so x is named.
+        path = tmp_path / "t.csv"
+        path.write_text("label,shape,color,y,x\npos,circle,red,4.0,3.0\npos,circle,,4.0,abc\n")
+        with pytest.raises(UnparsableNumericError) as err:
+            load_csv(path, mixed_schema)
+        assert (err.value.row, err.value.column) == (1, "x")
+
+    def test_csv_missing_value_before_bad_number(self, tmp_path, mixed_schema):
+        # Here the unparsable y comes first in the file, the empty x first
+        # in the schema.
+        path = tmp_path / "t.csv"
+        path.write_text("y,x,color,shape,label\n2.0,1.0,red,circle,pos\nabc,,red,circle,pos\n")
+        with pytest.raises(MissingValueError) as err:
+            load_csv(path, mixed_schema)
+        assert (err.value.row, err.value.column) == (1, "x")
+
+    def test_rows_name_the_first_bad_cell(self, mixed_schema):
+        rows = [(0.0, 0.0, "red", "circle", "pos"), (0.0, "oops", 3, "circle", "pos")]
+        with pytest.raises(SchemaMismatchError, match="column 'y'"):
+            Table(mixed_schema, rows)
