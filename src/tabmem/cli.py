@@ -24,7 +24,7 @@ from .augment import DEFAULT_RATIO, AugmentConfig, AugmentMode, augment as run_a
 from .errors import NonFiniteValueError, TabmemError
 from .fidelity import full_report
 from .parallel import resolve_threads
-from .scorelab import LatentSet, SdeConfig, SigmaSchedule, backward_sample, run_replication
+from .scorelab import LatentSet, SdeConfig, SigmaSchedule, run_replication
 from .table import load_csv, load_schema, write_csv
 
 
@@ -160,26 +160,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     schedule = SigmaSchedule(horizon=args.horizon)
     config = SdeConfig(steps=args.steps, seed=args.seed, trajectories=args.trajectories)
-    result = run_replication(latents, schedule, config, tolerance=args.tolerance)
+    emit = bool(args.emit_trajectories)
+    outcome = run_replication(
+        latents, schedule, config, tolerance=args.tolerance, return_trajectories=emit
+    )
+    result, paths = outcome if emit else (outcome, None)
     payload = result.to_dict()
     payload["run_config"] = _run_config(args)
     text = _dump_json(payload, args.out)
     print(text, end="")
 
-    if args.emit_trajectories:
-        streams = np.random.SeedSequence(args.seed).spawn(args.trajectories)
-        times = np.linspace(0.0, args.horizon, args.steps + 1)
+    if emit:
+        # The state at step k sits at grid time times[steps - k]; the last is t = 0.
+        times = np.linspace(0.0, args.horizon, args.steps + 1)[::-1].tolist()
         with open(args.emit_trajectories, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["trajectory", "step", "t"] + [f"x{i}" for i in range(args.dim)])
-            for j, stream in enumerate(streams):
-                _, path = backward_sample(
-                    latents, schedule, args.steps, np.random.default_rng(stream),
-                    return_trajectory=True,
+            for j, path in enumerate(paths):
+                writer.writerows(
+                    [j, k, t, *state] for k, (t, state) in enumerate(zip(times, path.tolist()))
                 )
-                for k, state in enumerate(path):
-                    t = float(times[args.steps - k]) if k < len(path) - 1 else 0.0
-                    writer.writerow([j, k, repr(t)] + [repr(float(v)) for v in state])
     return 0
 
 
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=_positive_int, default=256)
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--horizon", type=_positive, default=1.0)
-    p.add_argument("--tolerance", type=float, default=1e-2)
+    p.add_argument("--tolerance", type=_positive, default=1e-2)
     p.add_argument("--out", default=None, help="optional JSON path (also printed)")
     p.add_argument("--emit-trajectories", default=None, help="optional per-step CSV path")
     p.set_defaults(handler=_cmd_simulate)

@@ -108,6 +108,45 @@ def forward_noise(
     return z0 + schedule.sigma(t) * rng.standard_normal(z0.shape)
 
 
+def _posterior(points: np.ndarray, columns: np.ndarray, sigma: float):
+    """Posterior weights over latents and the latent differences, in column layout.
+
+    ``columns`` holds n states as a (dim, n) array. Returns the weights as an
+    (N, n) array and the differences points - state as an (N, dim, n) array,
+    computed once for both the weights and the score. The summation orders are
+    part of the contract, so a state's result does not depend on the batch it
+    is in: squared differences add up in dimension order, and each state's
+    weights are normalized by numpy's sum over a contiguous row of N weights.
+    """
+    diffs = points[:, :, None] - columns[None, :, :]
+    logits = diffs[:, 0] * diffs[:, 0]
+    for k in range(1, points.shape[1]):
+        logits += diffs[:, k] * diffs[:, k]
+    np.negative(logits, out=logits)
+    logits /= 2.0 * sigma * sigma
+    logits -= logits.max(axis=0)
+    weights = np.exp(logits, out=logits)
+    weights /= np.ascontiguousarray(weights.T).sum(axis=1)
+    return weights, diffs
+
+
+def _score(points: np.ndarray, columns: np.ndarray, sigma: float) -> np.ndarray:
+    """Optimal score of (dim, n) states at noise level sigma, as a (dim, n) array.
+
+    The weighted differences accumulate over latents in latent order.
+    """
+    weights, diffs = _posterior(points, columns, sigma)
+    diffs *= weights[:, None, :]
+    terms = diffs.reshape(diffs.shape[0], -1)
+    # numpy sums along the contiguous axis pairwise; that axis is the latent
+    # axis only when each latent contributes a single value.
+    if terms.shape[1] > 1:
+        total = np.add.reduce(terms, axis=0)
+    else:
+        total = np.add.accumulate(terms, axis=0)[-1]
+    return total.reshape(columns.shape) / (sigma * sigma)
+
+
 def latent_posterior(z: np.ndarray, sigma: float, latents: LatentSet) -> np.ndarray:
     """Softmax weights over latents at noise level sigma, batched over rows.
 
@@ -117,11 +156,8 @@ def latent_posterior(z: np.ndarray, sigma: float, latents: LatentSet) -> np.ndar
     if sigma <= 0.0:
         raise ZeroSigmaError(f"sigma must be positive, got {sigma}")
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    diff = latents.points[None, :, :] - z[:, None, :]
-    logits = -np.sum(diff * diff, axis=-1) / (2.0 * sigma * sigma)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    weights, _ = _posterior(latents.points, z.T, sigma)
+    return weights.T
 
 
 def optimal_score(
@@ -136,10 +172,61 @@ def optimal_score(
         raise ZeroSigmaError(f"sigma(t)={sigma} at t={t}; the score needs sigma > 0")
     single = np.asarray(z).ndim == 1
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    weights = latent_posterior(z, sigma, latents)
-    diff = latents.points[None, :, :] - z[:, None, :]
-    score = np.sum(weights[:, :, None] * diff, axis=1) / (sigma * sigma)
+    score = _score(latents.points, z.T, sigma).T
     return score[0] if single else score
+
+
+# Steps of noise drawn from each trajectory's stream at a time.
+_NOISE_CHUNK = 256
+
+
+def _noise(rngs: list[np.random.Generator], rows: int, dim: int):
+    """Yield ``rows`` standard-normal draws per stream, one (dim, n) array per row.
+
+    Each stream fills (chunk, dim) arrays in turn. A Generator fills arrays in
+    sequence, so the values equal one (rows, dim) draw per stream, and memory
+    does not grow with ``rows``.
+    """
+    for start in range(0, rows, _NOISE_CHUNK):
+        size = min(_NOISE_CHUNK, rows - start)
+        yield from np.stack([rng.standard_normal((size, dim)) for rng in rngs], axis=2)
+
+
+def _integrate(
+    latents: LatentSet,
+    schedule: SigmaSchedule,
+    steps: int,
+    rngs: list[np.random.Generator],
+    record: bool = False,
+):
+    """Reverse the diffusion for one trajectory per generator, all in lockstep.
+
+    Each trajectory starts from sigma(T) times its stream's first draw and is
+    Euler-iterated down to t = T/steps, consuming steps + 1 draws of shape
+    (dim,) from its stream. Returns the pre-assignment states (n, dim) and,
+    if ``record``, an (n, steps + 1, dim) array holding every state from T
+    down to the last Euler step, with the final entry left for the caller's
+    terminal assignment; otherwise None.
+    """
+    n = len(rngs)
+    noise = _noise(rngs, steps + 1, latents.dim)
+    times = np.linspace(0.0, schedule.horizon, steps + 1).tolist()
+    sigmas = [schedule.sigma(t) for t in times]
+    state = sigmas[-1] * next(noise)
+    path = np.empty((n, steps + 1, latents.dim)) if record else None
+    for k in range(steps, 1, -1):
+        if path is not None:
+            path[:, steps - k] = state.T
+        s_hi, s_lo = sigmas[k], sigmas[k - 1]
+        if s_hi <= 0.0:
+            raise ZeroSigmaError(f"sigma(t)={s_hi} at t={times[k]}; the score needs sigma > 0")
+        score = _score(latents.points, state, s_hi)
+        diffusion = np.sqrt(2.0 * s_hi * (s_hi - s_lo) * (times[k] - times[k - 1]))
+        state = state + 2.0 * s_hi * (s_hi - s_lo) * score + diffusion * next(noise)
+    next(noise)  # the last draw is unused; drawing it keeps each stream's consumption at steps + 1
+    if path is not None:
+        path[:, steps - 1] = state.T
+    return np.ascontiguousarray(state.T), path
 
 
 def backward_sample(
@@ -156,28 +243,12 @@ def backward_sample(
     Returns the final point, or (point, trajectory) with the trajectory
     holding the state at every grid time from T down to 0.
     """
-    dim = latents.dim
-    draws = rng.standard_normal((steps + 1, dim))
-    state = schedule.sigma(schedule.horizon) * draws[0]
-    trajectory = [state.copy()] if return_trajectory else None
-
-    times = np.linspace(0.0, schedule.horizon, steps + 1)
-    for k in range(steps, 1, -1):
-        t_hi = float(times[k])
-        t_lo = float(times[k - 1])
-        s_hi = schedule.sigma(t_hi)
-        s_lo = schedule.sigma(t_lo)
-        score = optimal_score(state, t_hi, latents, schedule)
-        diffusion = np.sqrt(2.0 * s_hi * (s_hi - s_lo) * (t_hi - t_lo))
-        state = state + 2.0 * s_hi * (s_hi - s_lo) * score + diffusion * draws[steps - k + 1]
-        if trajectory is not None:
-            trajectory.append(state.copy())
-
+    state, path = _integrate(latents, schedule, steps, [rng], record=return_trajectory)
     idx, _ = latents.nearest(state)
     final = latents.points[int(idx[0])].copy()
-    if trajectory is not None:
-        trajectory.append(final.copy())
-        return final, np.asarray(trajectory)
+    if path is not None:
+        path[0, steps] = final
+        return final, path[0]
     return final
 
 
@@ -216,34 +287,22 @@ def run_replication(
     schedule: SigmaSchedule,
     config: SdeConfig,
     tolerance: float = 1e-2,
-) -> ReplicationResult:
+    return_trajectories: bool = False,
+):
     """Run many backward trajectories and measure how they land on latents.
 
     Each trajectory consumes its own RNG stream spawned from the seed, so a
     trajectory's outcome is identical whether it is run here or alone through
     ``backward_sample``. All trajectories advance in lockstep for speed.
+    Returns the result, or (result, trajectories) with trajectories[j] equal
+    to ``backward_sample``'s trajectory for stream j: an (n, steps + 1, dim)
+    array of the states at every grid time from T down to 0.
     """
-    dim = latents.dim
-    n = config.trajectories
-    streams = np.random.SeedSequence(config.seed).spawn(n)
-    draws = np.stack(
-        [np.random.default_rng(s).standard_normal((config.steps + 1, dim)) for s in streams],
-        axis=1,
-    )  # (steps + 1, n, dim)
-
-    state = schedule.sigma(schedule.horizon) * draws[0]
-    times = np.linspace(0.0, schedule.horizon, config.steps + 1)
-    for k in range(config.steps, 1, -1):
-        t_hi = float(times[k])
-        t_lo = float(times[k - 1])
-        s_hi = schedule.sigma(t_hi)
-        s_lo = schedule.sigma(t_lo)
-        score = optimal_score(state, t_hi, latents, schedule)
-        diffusion = np.sqrt(2.0 * s_hi * (s_hi - s_lo) * (t_hi - t_lo))
-        state = state + 2.0 * s_hi * (s_hi - s_lo) * score + diffusion * draws[config.steps - k + 1]
-
+    streams = np.random.SeedSequence(config.seed).spawn(config.trajectories)
+    rngs = [np.random.default_rng(s) for s in streams]
+    state, path = _integrate(latents, schedule, config.steps, rngs, record=return_trajectories)
     idx, dist = latents.nearest(state)
-    return ReplicationResult(
+    result = ReplicationResult(
         final_points=latents.points[idx].copy(),
         pre_assignment_points=state,
         assigned_indices=idx,
@@ -251,6 +310,10 @@ def run_replication(
         latent_diameter=latents.diameter(),
         tolerance=tolerance,
     )
+    if path is None:
+        return result
+    path[:, config.steps] = result.final_points
+    return result, path
 
 
 def dsm_loss(

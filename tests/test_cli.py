@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import tabmem
 from tabmem.cli import argv_from_run_config, main
+from tabmem.scorelab import LatentSet, SigmaSchedule, backward_sample
 from tabmem.table import FeatureKind, Schema, Table, load_csv, save_schema, write_csv
 
 from conftest import random_mixed_table
@@ -278,6 +280,42 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 6 * 201
 
 
+    @pytest.mark.parametrize(
+        "steps, trajectories, dim, horizon",
+        [(1, 3, 2, 1.0), (300, 4, 3, 2.5)],
+    )
+    def test_trajectories_match_per_stream_emission(self, tmp_path, capsys, steps, trajectories,
+                                                    dim, horizon):
+        traj = tmp_path / "traj.csv"
+        assert main([
+            "simulate", "--n-latents", "5", "--dim", str(dim), "--steps", str(steps),
+            "--trajectories", str(trajectories), "--seed", "3", "--horizon", str(horizon),
+            "--emit-trajectories", str(traj),
+        ]) == 0
+        reference = tmp_path / "reference.csv"
+        _emit_per_stream(reference, 5, dim, steps, trajectories, 3, horizon)
+        assert traj.read_bytes() == reference.read_bytes()
+
+
+def _emit_per_stream(path, n_latents, dim, steps, trajectories, seed, horizon):
+    """Trajectory emission as one single-trajectory rerun per stream, formatting
+    each coordinate of each numpy row."""
+    latents = LatentSet(np.random.default_rng(seed).standard_normal((n_latents, dim)))
+    schedule = SigmaSchedule(horizon=horizon)
+    streams = np.random.SeedSequence(seed).spawn(trajectories)
+    times = np.linspace(0.0, horizon, steps + 1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["trajectory", "step", "t"] + [f"x{i}" for i in range(dim)])
+        for j, stream in enumerate(streams):
+            _, trajectory = backward_sample(
+                latents, schedule, steps, np.random.default_rng(stream), return_trajectory=True
+            )
+            for k, state in enumerate(trajectory):
+                t = float(times[steps - k]) if k < len(trajectory) - 1 else 0.0
+                writer.writerow([j, k, repr(t)] + [repr(float(v)) for v in state])
+
+
 class TestReplayHelper:
     def test_round_trips_all_commands(self, workspace, capsys):
         paths, _ = workspace
@@ -417,6 +455,9 @@ class TestBadArgumentValues:
             ("simulate", "--n-latents", "0"),
             ("simulate", "--dim", "0"),
             ("simulate", "--seed", "-1"),
+            ("simulate", "--tolerance", "-1"),
+            ("simulate", "--tolerance", "nan"),
+            ("simulate", "--tolerance", "inf"),
             ("audit", "--threshold", "0"),
             ("audit", "--threshold", "nan"),
             ("audit", "--bins", "0"),

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
+from tabmem import scorelab
 from tabmem.errors import BadTimeError, ZeroSigmaError
 from tabmem.scorelab import (
     LatentSet,
-
     SdeConfig,
     SigmaSchedule,
     backward_sample,
@@ -129,6 +132,171 @@ class TestOptimalScore:
         weights = latent_posterior(z, 1e-6, lat)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert weights.min() >= 0.0
+
+def _broadcast_posterior(z, sigma, points):
+    """The (n, N, dim) broadcast formula the column-layout kernel replaced."""
+    diff = points[None, :, :] - z[:, None, :]
+    logits = -np.sum(diff * diff, axis=-1) / (2.0 * sigma * sigma)
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _broadcast_score(z, sigma, points):
+    weights = _broadcast_posterior(z, sigma, points)
+    diff = points[None, :, :] - z[:, None, :]
+    return np.sum(weights[:, :, None] * diff, axis=1) / (sigma * sigma)
+
+
+def _contract_score(z, sigma, points):
+    """The kernel's summation contract, one scalar operation at a time."""
+    n, dim = z.shape
+    diff = points[None, :, :] - z[:, None, :]
+    sq = diff[:, :, 0] * diff[:, :, 0]
+    for k in range(1, dim):
+        sq = sq + diff[:, :, k] * diff[:, :, k]
+    logits = -sq / (2.0 * sigma * sigma)
+    logits -= logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    weights /= np.array([np.ascontiguousarray(row).sum() for row in weights])[:, None]
+    score = np.empty((n, dim))
+    for i in range(n):
+        for k in range(dim):
+            acc = weights[i, 0] * diff[i, 0, k]
+            for j in range(1, points.shape[0]):
+                acc += weights[i, j] * diff[i, j, k]
+            score[i, k] = acc / (sigma * sigma)
+    return weights, score
+
+
+@st.composite
+def score_inputs(draw, min_dim=1, max_dim=7, min_latents=1):
+    dim = draw(st.integers(min_dim, max_dim))
+    n_latents = draw(st.integers(min_latents, 40))
+    n = draw(st.integers(1, 64))
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]), st.floats(-3.0, 3.0))
+    points = draw(arrays(np.float64, (n_latents, dim), elements=coords))
+    z = draw(arrays(np.float64, (n, dim), elements=coords))
+    # some states sit exactly on a latent, as they do at the end of a trajectory
+    on_latent = draw(st.lists(st.integers(0, n_latents - 1), max_size=n))
+    z[: len(on_latent)] = points[on_latent]
+    sigma = draw(st.floats(0.05, 5.0))
+    return points, z, sigma
+
+
+def _kernel(points, z, sigma):
+    latents = LatentSet(points)
+    score = optimal_score(z, sigma, latents, SigmaSchedule(horizon=10.0))  # sigma(t) = t
+    return latent_posterior(z, sigma, latents), score
+
+
+class TestScoreKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=score_inputs(min_dim=2))
+    def test_bit_identical_to_broadcast_from_two_to_seven_dims(self, inputs):
+        points, z, sigma = inputs
+        weights, score = _kernel(points, z, sigma)
+        assert np.array_equal(weights, _broadcast_posterior(z, sigma, points))
+        assert np.array_equal(score, _broadcast_score(z, sigma, points))
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=score_inputs(max_dim=1), n_latents=st.integers(1, 7))
+    def test_bit_identical_to_broadcast_in_one_dim_below_eight_latents(self, inputs, n_latents):
+        points, z, sigma = inputs
+        points = points[:n_latents]
+        weights, score = _kernel(points, z, sigma)
+        assert np.array_equal(weights, _broadcast_posterior(z, sigma, points))
+        assert np.array_equal(score, _broadcast_score(z, sigma, points))
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=score_inputs(max_dim=12))
+    def test_bit_identical_to_summation_contract(self, inputs):
+        points, z, sigma = inputs
+        weights, score = _kernel(points, z, sigma)
+        ref_weights, ref_score = _contract_score(z, sigma, points)
+        assert np.array_equal(weights, ref_weights)
+        assert np.array_equal(score, ref_score)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=st.one_of(score_inputs(min_dim=8, max_dim=20),
+                            score_inputs(max_dim=1, min_latents=8)))
+    def test_within_last_bits_of_broadcast_otherwise(self, inputs):
+        # numpy's broadcast sums 8 or more dimensions, or a single dimension
+        # over 8 or more latents, pairwise; the kernel keeps its fixed order.
+        points, z, sigma = inputs
+        weights, score = _kernel(points, z, sigma)
+        assert np.allclose(weights, _broadcast_posterior(z, sigma, points), rtol=1e-12, atol=1e-12)
+        scale = np.abs(points[None, :, :] - z[:, None, :]).max(axis=1) / (sigma * sigma)
+        assert np.all(np.abs(score - _broadcast_score(z, sigma, points)) <= 1e-12 * scale)
+
+
+def _reference_pre_assignment(latents, schedule, config):
+    """The two-copy integrator the batched one replaced: one bulk noise draw
+    per stream, and the broadcast score."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.trajectories)
+    draws = np.stack(
+        [np.random.default_rng(s).standard_normal((config.steps + 1, latents.dim)) for s in streams],
+        axis=1,
+    )
+    state = schedule.sigma(schedule.horizon) * draws[0]
+    times = np.linspace(0.0, schedule.horizon, config.steps + 1)
+    for k in range(config.steps, 1, -1):
+        t_hi, t_lo = float(times[k]), float(times[k - 1])
+        s_hi, s_lo = schedule.sigma(t_hi), schedule.sigma(t_lo)
+        score = _broadcast_score(state, s_hi, latents.points)
+        diffusion = np.sqrt(2.0 * s_hi * (s_hi - s_lo) * (t_hi - t_lo))
+        state = state + 2.0 * s_hi * (s_hi - s_lo) * score + diffusion * draws[config.steps - k + 1]
+    return state
+
+
+CHUNK = scorelab._NOISE_CHUNK
+STEPS_AROUND_CHUNK = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("steps", STEPS_AROUND_CHUNK)
+    def test_recorded_paths_equal_single_trajectories(self, steps):
+        lat = LatentSet(np.random.default_rng(20).normal(size=(5, 3)))
+        sched = SigmaSchedule(horizon=1.5)
+        config = SdeConfig(steps=steps, seed=21, trajectories=4)
+        result, paths = run_replication(lat, sched, config, return_trajectories=True)
+        assert paths.shape == (4, steps + 1, 3)
+        for j, stream in enumerate(np.random.SeedSequence(21).spawn(4)):
+            final, path = backward_sample(
+                lat, sched, steps, np.random.default_rng(stream), return_trajectory=True
+            )
+            assert np.array_equal(paths[j], path)
+            assert np.array_equal(result.final_points[j], final)
+            assert np.array_equal(path[-2], result.pre_assignment_points[j])
+
+    @pytest.mark.parametrize("steps", STEPS_AROUND_CHUNK)
+    def test_matches_bulk_draw_reference(self, steps):
+        lat = LatentSet(np.random.default_rng(22).normal(size=(16, 2)))
+        sched = SigmaSchedule()
+        config = SdeConfig(steps=steps, seed=23, trajectories=6)
+        result = run_replication(lat, sched, config)
+        assert np.array_equal(result.pre_assignment_points, _reference_pre_assignment(lat, sched, config))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        lat = LatentSet(np.random.default_rng(24).normal(size=(7, 2)))
+        sched = SigmaSchedule()
+        config = SdeConfig(steps=40, seed=25, trajectories=3)
+        expected, expected_paths = run_replication(lat, sched, config, return_trajectories=True)
+        monkeypatch.setattr(scorelab, "_NOISE_CHUNK", chunk)
+        result, paths = run_replication(lat, sched, config, return_trajectories=True)
+        assert np.array_equal(paths, expected_paths)
+        assert np.array_equal(result.pre_assignment_points, expected.pre_assignment_points)
+
+    @pytest.mark.parametrize("steps", STEPS_AROUND_CHUNK)
+    def test_consumes_one_draw_per_grid_time(self, steps):
+        lat = LatentSet(np.random.default_rng(26).normal(size=(3, 2)))
+        rng = np.random.default_rng(27)
+        backward_sample(lat, SigmaSchedule(), steps, rng)
+        bulk = np.random.default_rng(27)
+        bulk.standard_normal((steps + 1, 2))
+        assert rng.random() == bulk.random()
+
 
 class TestBackwardSample:
     def test_single_latent_attractor(self):
