@@ -9,16 +9,7 @@ from .association import (
     eta_squared,
     pearson,
 )
-from .augment import (
-    AugmentConfig,
-    AugmentMode,
-    MixMask,
-    augment,
-    class_prior,
-    cutmix_once,
-    cutmixplus_once,
-    ijf_sample,
-)
+from .augment import AugmentConfig, AugmentMode, augment, class_prior
 from .distance import (
     DistanceNormalizer,
     NeighborResult,

@@ -1,29 +1,58 @@
 """Same-class feature-swap augmentation and an independent-marginals baseline.
 
-CutMix swaps individual features between two rows of one class under a
-Bernoulli(lambda) mask with lambda ~ Uniform(0, 1). The Plus variant first
-groups correlated features and swaps each group as an atomic unit, one
-lambda and one coin per group. The IJF baseline draws every feature
-independently from a per-feature marginal fitted on the training table.
+CutMix (TabCutMix) builds each new row from two distinct rows of one class:
+with lambda ~ Uniform(0, 1), every feature comes from donor A with
+probability lambda, independently, and from donor B otherwise. CutMixPlus
+applies the same mask at the level of correlated-feature clusters: one
+lambda per row and one Bernoulli(lambda) bit per cluster, so a cluster is
+always swapped whole. With singleton clusters it draws exactly what CutMix
+draws. (A lambda drawn afresh per cluster would make every cluster bit a fair
+coin, independent of the others, and lambda itself would have no effect.)
+The IJF baseline draws every feature independently from a per-feature
+marginal fitted on the training table.
+
+Random streams: augmented rows are made in blocks of ``_BLOCK`` = 4096 output
+rows (the last block may be shorter). Block ``b`` draws from
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))`` and
+makes each draw as one array over its m rows, in this order:
+
+- cutmix and cutmixplus: the classes, from the class prior; donor A, uniform
+  over its class's n_c rows; donor B, uniform over the other n_c - 1 rows
+  (drawn from n_c - 1 values and shifted past A); lambda per row; then an
+  (m, units) array of uniforms, a unit taking donor A where its uniform is
+  below lambda. The units are the features, or the clusters in order.
+- ijf: the numerical features as mean + std * standard_normal((m, n_num)),
+  then each coded column (categorical features, then the label) in schema
+  order, from its empirical frequencies.
+
+A category with count c out of n rows is drawn as a uniform integer below n
+falling in that category's run of the cumulative counts, so its probability
+is exactly c / n. A block's rows depend only on the seed, the block index and
+the training table, never on the thread count or on scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .association import (
     DEFAULT_CLUSTER_THRESHOLD,
-    FeatureClusters,
     association_matrix,
     cluster_features,
 )
 from .errors import ClassTooSmallError, EmptyTableError, NoTargetError
-from .table import Cell, Row, Table, concat
+from .parallel import map_blocks
+from .table import Table, concat
 
 DEFAULT_RATIO = 0.3
+# Cap on new rows per input row; without one, a mistyped ratio allocates until memory runs out.
+MAX_RATIO = 1000.0
+
+_BLOCK = 4096
 
 
 class AugmentMode(Enum):
@@ -40,22 +69,8 @@ class AugmentConfig:
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
 
     def __post_init__(self):
-        if self.ratio < 0:
-            raise ValueError(f"ratio must be >= 0, got {self.ratio}")
-
-
-@dataclass(frozen=True)
-class MixMask:
-    """Per-swap-unit donor indicators drawn Bernoulli(lambda)."""
-
-    lam: float
-    bits: tuple[int, ...]
-
-    @classmethod
-    def draw(cls, rng: np.random.Generator, n_units: int) -> "MixMask":
-        lam = float(rng.random())
-        bits = tuple(int(b) for b in rng.random(n_units) < lam)
-        return cls(lam, bits)
+        if not 0 <= self.ratio <= MAX_RATIO:
+            raise ValueError(f"ratio must be in [0, {MAX_RATIO:g}], got {self.ratio}")
 
 
 def class_prior(train: Table) -> dict[str, float]:
@@ -68,82 +83,57 @@ def class_prior(train: Table) -> dict[str, float]:
     return {label: count / train.n_rows for label, count in zip(train.vocabularies[-1], counts)}
 
 
-class _ClassIndex:
-    """Row indices per class label, in table order."""
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+
+
+def _draw_codes(rng: np.random.Generator, cumulative: np.ndarray, m: int) -> np.ndarray:
+    """m codes drawn with probability count / total from running count totals."""
+    return np.searchsorted(cumulative, rng.integers(cumulative[-1], size=m), side="right")
+
+
+class _CutMix:
+    """Same-class donor pairs of one table, mixed over swap units (features or clusters)."""
 
     def __init__(self, train: Table):
-        if train.schema.target is None:
+        schema = train.schema
+        if schema.target is None:
             raise NoTargetError("augmentation needs a class-label column")
-        codes = train.column(train.schema.n_features)
-        self.rows = {label: np.flatnonzero(codes == k) for k, label in enumerate(train.vocabularies[-1])}
+        labels = train.column(schema.n_features)
+        self.sizes = np.bincount(labels)
+        for label, size in zip(train.vocabularies[-1], self.sizes.tolist()):
+            if size < 2:
+                raise ClassTooSmallError(label, size)
+        self.cumulative = np.cumsum(self.sizes)
+        # Row indices grouped by class code, each class in table order.
+        self.members = np.argsort(labels, kind="stable")
+        self.columns = [train.column(j) for j in range(schema.n_features)]
+        # Swap units: groups of feature indices; one per feature is CutMix.
+        self.units: Sequence[Sequence[int]] = [(j,) for j in range(schema.n_features)]
 
-    def sample_pair(self, label: str, rng: np.random.Generator) -> tuple[int, int]:
-        members = self.rows[label]
-        if len(members) < 2:
-            raise ClassTooSmallError(label, len(members))
-        a, b = rng.choice(len(members), size=2, replace=False)
-        return int(members[int(a)]), int(members[int(b)])
+    def draw(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        """Class codes, donors A and B, lambda, and the (m, units) take-A mask."""
+        classes = _draw_codes(rng, self.cumulative, m)
+        sizes = self.sizes[classes]
+        a = rng.integers(sizes)
+        b = rng.integers(sizes - 1)
+        b += b >= a
+        start = self.cumulative[classes] - sizes
+        lam = rng.random(m)
+        take_a = rng.random((m, len(self.units))) < lam[:, None]
+        return classes, self.members[start + a], self.members[start + b], lam, take_a
 
+    def mix(self, classes, donor_a, donor_b, take_a) -> list[np.ndarray]:
+        """Schema columns of the mixed rows: each unit from A where ``take_a``, else from B."""
+        features: list = [None] * len(self.columns)
+        for u, group in enumerate(self.units):
+            for j in group:
+                features[j] = np.where(take_a[:, u], self.columns[j][donor_a], self.columns[j][donor_b])
+        return features + [classes]
 
-def _sample_class(prior: dict[str, float], rng: np.random.Generator) -> int:
-    """Position in ``prior`` of a class drawn from it."""
-    probs = np.asarray(list(prior.values()))
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
-
-
-def _draw_mix(
-    prior: dict[str, float],
-    index: _ClassIndex,
-    rng: np.random.Generator,
-    n_features: int,
-    clusters: FeatureClusters | None = None,
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """Class position in ``prior``, donors A and B, and per-feature bits (1 takes A)."""
-    k = _sample_class(prior, rng)
-    ia, ib = index.sample_pair(list(prior)[k], rng)
-    if clusters is None:
-        return k, ia, ib, MixMask.draw(rng, n_features).bits
-    bits = [0] * n_features
-    for group in clusters.clusters:
-        lam = float(rng.random())
-        take_a = int(rng.random() < lam)
-        for j in group:
-            bits[j] = take_a
-    return k, ia, ib, tuple(bits)
-
-
-def mix_rows(x_a: Row, x_b: Row, bits: tuple[int, ...], label: str, n_features: int) -> Row:
-    """Take feature j from donor A where bits[j] is 1, else from donor B."""
-    cells: list[Cell] = [
-        x_a[j] if bits[j] else x_b[j] for j in range(n_features)
-    ]
-    cells.append(label)
-    return tuple(cells)
-
-
-def cutmix_once(
-    train: Table,
-    prior: dict[str, float],
-    rng: np.random.Generator,
-    index: _ClassIndex | None = None,
-) -> Row:
-    """One CutMix row: same-class donor pair mixed under a per-feature mask."""
-    index = index or _ClassIndex(train)
-    k, ia, ib, bits = _draw_mix(prior, index, rng, train.schema.n_features)
-    return mix_rows(train.row(ia), train.row(ib), bits, list(prior)[k], train.schema.n_features)
-
-
-def cutmixplus_once(
-    train: Table,
-    prior: dict[str, float],
-    clusters: FeatureClusters,
-    rng: np.random.Generator,
-    index: _ClassIndex | None = None,
-) -> Row:
-    """One CutMixPlus row: every feature group comes whole from one donor."""
-    index = index or _ClassIndex(train)
-    k, ia, ib, bits = _draw_mix(prior, index, rng, train.schema.n_features, clusters)
-    return mix_rows(train.row(ia), train.row(ib), bits, list(prior)[k], train.schema.n_features)
+    def block(self, rng: np.random.Generator, m: int) -> list[np.ndarray]:
+        classes, donor_a, donor_b, _, take_a = self.draw(rng, m)
+        return self.mix(classes, donor_a, donor_b, take_a)
 
 
 class _IjfModel:
@@ -154,68 +144,45 @@ class _IjfModel:
             raise EmptyTableError("IJF needs at least 2 rows to fit marginals")
         self.schema = train.schema
         numeric = train.numeric_values()
-        self.means = numeric.mean(axis=0) if numeric.shape[1] else np.empty(0)
-        self.stds = numeric.std(axis=0) if numeric.shape[1] else np.empty(0)
-        # Categorical features, then the label; categories in first-appearance order.
-        self.vocabularies = train.vocabularies
-        self.probs = [np.bincount(train.column(i)) / train.n_rows for i in train.schema.coded_indices]
+        self.means = numeric.mean(axis=0)
+        self.stds = numeric.std(axis=0)
+        self.cumulative = [np.cumsum(np.bincount(train.column(i))) for i in train.schema.coded_indices]
 
-    def draw(self, rng: np.random.Generator) -> list[float | int]:
-        """One value per schema column: numbers, or category codes."""
-        cells: list[float | int] = [0] * self.schema.row_width()
-        for j, mean, std in zip(self.schema.numerical_indices, self.means, self.stds):
-            cells[j] = float(mean + std * rng.standard_normal())
-        for j, probs in zip(self.schema.coded_indices, self.probs):
-            cells[j] = int(rng.choice(len(probs), p=probs))
-        return cells
-
-    def sample(self, rng: np.random.Generator) -> Row:
-        return tuple(
-            cell if vocabulary is None else vocabulary[cell]  # type: ignore[index]
-            for cell, vocabulary in zip(self.draw(rng), self.vocabularies)
-        )
+    def block(self, rng: np.random.Generator, m: int) -> list[np.ndarray]:
+        columns: list = [None] * self.schema.row_width()
+        values = self.means + self.stds * rng.standard_normal((m, self.means.size))
+        for j, column in zip(self.schema.numerical_indices, values.T):
+            columns[j] = column
+        for j, cumulative in zip(self.schema.coded_indices, self.cumulative):
+            columns[j] = _draw_codes(rng, cumulative, m)
+        return columns
 
 
-def ijf_sample(train: Table, rng: np.random.Generator) -> Row:
-    """One row with every feature drawn independently from its fitted marginal."""
-    return _IjfModel(train).sample(rng)
-
-
-def augment(train: Table, config: AugmentConfig) -> Table:
+def augment(train: Table, config: AugmentConfig, threads: int = 1) -> Table:
     """Original rows followed by round(ratio * n) augmented rows.
 
-    Every augmented row draws from its own RNG stream derived from the seed
-    and the row's index, so output is identical however samples are scheduled.
+    New rows come in blocks of ``_BLOCK`` = 4096; block ``b`` draws from
+    ``default_rng(SeedSequence(config.seed, spawn_key=(b,)))``, each quantity
+    as one array over the block's rows in the order the module docstring
+    lists (cutmix and cutmixplus: classes, donor A, donor B, lambda, unit
+    mask; ijf: numerical features, then each coded column). CutMixPlus uses
+    one lambda per row at cluster level. Up to ``threads`` blocks run at
+    once; the output depends on neither the thread count nor scheduling.
     """
     n_new = int(round(config.ratio * train.n_rows))
     if n_new == 0:
         return train
 
-    schema = train.schema
-    streams = np.random.SeedSequence(config.seed).spawn(n_new)
-
     if config.mode is AugmentMode.IJF:
-        model = _IjfModel(train)
-        new = zip(*(model.draw(np.random.default_rng(s)) for s in streams))
-        return concat(train, Table.from_columns(schema, list(new), train.vocabularies))
+        draw = _IjfModel(train).block
+    else:
+        mixer = _CutMix(train)
+        if config.mode is AugmentMode.CUTMIXPLUS:
+            mixer.units = cluster_features(association_matrix(train), config.cluster_threshold).clusters
+        draw = mixer.block
 
-    prior = class_prior(train)
-    index = _ClassIndex(train)
-    for label, members in index.rows.items():
-        if len(members) < 2:
-            raise ClassTooSmallError(label, len(members))
-
-    clusters = None
-    if config.mode is AugmentMode.CUTMIXPLUS:
-        clusters = cluster_features(association_matrix(train), config.cluster_threshold)
-    draws = [
-        _draw_mix(prior, index, np.random.default_rng(s), schema.n_features, clusters)
-        for s in streams
-    ]
-    # The prior lists classes in label-code order, so a class position is its code.
-    labels, donor_a, donor_b, bits = (np.asarray(column) for column in zip(*draws))
-    columns = [
-        np.where(bits[:, j] == 1, train.column(j)[donor_a], train.column(j)[donor_b])
-        for j in range(schema.n_features)
-    ]
-    return concat(train, Table.from_columns(schema, columns + [labels], train.vocabularies))
+    blocks = map_blocks(
+        lambda lo, hi: draw(_block_rng(config.seed, lo // _BLOCK), hi - lo), n_new, _BLOCK, threads
+    )
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    return concat(train, Table.from_columns(train.schema, columns, train.vocabularies))

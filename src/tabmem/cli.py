@@ -20,7 +20,7 @@ import numpy as np
 
 from . import memorization
 from .association import DEFAULT_CLUSTER_THRESHOLD, association_matrix, cluster_features
-from .augment import DEFAULT_RATIO, AugmentConfig, AugmentMode, augment as run_augment
+from .augment import DEFAULT_RATIO, MAX_RATIO, AugmentConfig, AugmentMode, augment as run_augment
 from .errors import NonFiniteValueError, TabmemError
 from .fidelity import full_report
 from .parallel import resolve_threads
@@ -73,8 +73,8 @@ _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _ratio_threshold = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 _unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
-_non_negative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_ratio = _checked(float, lambda v: 0.0 <= v <= MAX_RATIO, f"a number in [0, {MAX_RATIO:g}]")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -107,7 +107,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         seed=args.seed,
         cluster_threshold=args.cluster_threshold,
     )
-    augmented = run_augment(train, config)
+    augmented = run_augment(train, config, threads=args.threads)
     write_csv(augmented, args.out)
     _dump_json(
         {
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--mode", choices=[m.value for m in AugmentMode], required=True)
-    p.add_argument("--ratio", type=_non_negative, default=DEFAULT_RATIO)
+    p.add_argument("--ratio", type=_ratio, default=DEFAULT_RATIO)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--cluster-threshold", type=_unit_interval, default=DEFAULT_CLUSTER_THRESHOLD)
     p.add_argument("--out", required=True, help="augmented CSV path")

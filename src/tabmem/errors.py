@@ -77,3 +77,8 @@ class ZeroSigmaError(TabmemError):
 
 class NonFiniteValueError(TabmemError):
     """A result meant for a JSON report is NaN or infinite."""
+
+
+class MalformedFileError(TabmemError):
+    """An input file cannot be read as its format: a schema that is not JSON,
+    or a CSV that is not UTF-8 or that the csv module rejects."""

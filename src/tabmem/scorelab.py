@@ -70,16 +70,38 @@ class LatentSet:
         return self.points.shape[1]
 
     def diameter(self) -> float:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt(np.sum(diff * diff, axis=-1)).max())
+        return float(np.sqrt(max(sq.max() for _, sq in _squared_distances(self.points, self.points))))
 
     def nearest(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index of and distance to the nearest latent, batched over rows."""
+        """Index of and distance to the nearest latent, batched over rows;
+        ties go to the lowest index."""
         z = np.atleast_2d(z)
-        diff = z[:, None, :] - self.points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        idx = np.argmin(dist, axis=1)
-        return idx, dist[np.arange(z.shape[0]), idx]
+        idx = np.empty(z.shape[0], dtype=np.intp)
+        dist = np.empty(z.shape[0])
+        for lo, sq in _squared_distances(z, self.points):
+            block = np.sqrt(sq)
+            rows = slice(lo, lo + block.shape[0])
+            idx[rows] = np.argmin(block, axis=1)
+            dist[rows] = block[np.arange(block.shape[0]), idx[rows]]
+        return idx, dist
+
+
+# Entries per block of squared distances, so memory stays linear in the latents.
+_DISTANCE_BLOCK = 1 << 16
+
+
+def _squared_distances(z: np.ndarray, points: np.ndarray):
+    """Yield (first row, squared distances from a block of rows of z to every
+    point), the squares summed in dimension order."""
+    rows = max(1, _DISTANCE_BLOCK // points.shape[0])
+    columns = points.T
+    for lo in range(0, z.shape[0], rows):
+        block = z[lo:lo + rows]
+        total = np.zeros((block.shape[0], points.shape[0]))
+        for d in range(points.shape[1]):
+            diff = block[:, d, None] - columns[d]
+            total += diff * diff
+        yield lo, total
 
 
 @dataclass(frozen=True)

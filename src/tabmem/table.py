@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadFractionsError,
     EmptyTableError,
+    MalformedFileError,
     MissingColumnError,
     MissingValueError,
     SchemaMismatchError,
@@ -52,13 +53,11 @@ class Schema:
         names = [name for name, _ in self.features]
         if not names:
             raise SchemaMismatchError("schema needs at least one feature")
-        if any(not n for n in names):
-            raise SchemaMismatchError("feature names must be non-empty")
         all_names = names + ([self.target] if self.target is not None else [])
+        if any(not isinstance(n, str) or not n for n in all_names):
+            raise SchemaMismatchError(f"column names must be non-empty strings: {all_names}")
         if len(set(all_names)) != len(all_names):
             raise SchemaMismatchError(f"duplicate column names in schema: {all_names}")
-        if self.target == "":
-            raise SchemaMismatchError("target name must be non-empty")
 
     @property
     def feature_names(self) -> list[str]:
@@ -111,8 +110,12 @@ class Schema:
 
 def load_schema(path: str | Path) -> Schema:
     """Read a schema from its JSON file format."""
-    with open(path, encoding="utf-8") as fh:
-        return Schema.from_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedFileError(f"{path}: not a JSON schema file ({exc})") from None
+    return Schema.from_dict(obj)
 
 
 def save_schema(schema: Schema, path: str | Path) -> None:
@@ -298,43 +301,52 @@ def load_csv(path: str | Path, schema: Schema) -> Table:
     Numerical cells must parse as finite decimal reals; categorical cells are
     taken verbatim (case-sensitive). Empty cells are rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(f"{path}: empty file, expected a header row") from None
-        expected = schema.column_names
-        if sorted(header) != sorted(expected):
-            missing = set(expected) - set(header)
-            extra = set(header) - set(expected)
-            raise MissingColumnError(
-                f"{path}: header mismatch (missing from CSV: {sorted(missing)}, "
-                f"not in schema: {sorted(extra)})"
-            )
-        numerical = set(schema.numerical_indices)
-        cells: list[list[Cell]] = [[] for _ in expected]
-        plan = [
-            (header.index(name), dest in numerical, name, cells[dest])
-            for dest, name in enumerate(expected)
-        ]
-        for r, raw in enumerate(reader):
-            if len(raw) != len(header):
-                raise SchemaMismatchError(f"{path}: row {r} has {len(raw)} cells, header has {len(header)}")
-            for src, is_numeric, name, column in plan:
-                text = raw[src]
-                if text == "":
-                    raise MissingValueError(r, name)
-                if is_numeric:
-                    try:
-                        value = float(text)
-                    except ValueError:
-                        raise UnparsableNumericError(r, name, text) from None
-                    if not math.isfinite(value):
-                        raise UnparsableNumericError(r, name, text)
-                    column.append(value)
-                else:
-                    column.append(text)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_csv(fh, path, schema)
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise MalformedFileError(f"{path}: malformed CSV ({exc})") from None
+
+
+def _parse_csv(fh, path: str | Path, schema: Schema) -> Table:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumnError(f"{path}: empty file, expected a header row") from None
+    expected = schema.column_names
+    if sorted(header) != sorted(expected):
+        missing = set(expected) - set(header)
+        extra = set(header) - set(expected)
+        raise MissingColumnError(
+            f"{path}: header mismatch (missing from CSV: {sorted(missing)}, "
+            f"not in schema: {sorted(extra)})"
+        )
+    numerical = set(schema.numerical_indices)
+    cells: list[list[Cell]] = [[] for _ in expected]
+    plan = [
+        (header.index(name), dest in numerical, name, cells[dest])
+        for dest, name in enumerate(expected)
+    ]
+    for r, raw in enumerate(reader):
+        if len(raw) != len(header):
+            raise SchemaMismatchError(f"{path}: row {r} has {len(raw)} cells, header has {len(header)}")
+        for src, is_numeric, name, column in plan:
+            text = raw[src]
+            if text == "":
+                raise MissingValueError(r, name)
+            if is_numeric:
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise UnparsableNumericError(r, name, text) from None
+                if not math.isfinite(value):
+                    raise UnparsableNumericError(r, name, text)
+                column.append(value)
+            else:
+                column.append(text)
     return Table.from_columns(schema, *_encode_cells(schema, cells))
 
 

@@ -171,6 +171,40 @@ class TestAugmentCommand:
         assert out.read_bytes() == first
 
 
+    def test_output_is_byte_identical_across_thread_counts(self, workspace):
+        # 40 rows at ratio 250 make 10 000 new rows: three blocks of streams.
+        paths, _ = workspace
+        for mode in ("cutmix", "cutmixplus", "ijf"):
+            outputs, sidecars = [], []
+            for threads in ("1", "2", "4"):
+                out = paths["dir"] / f"aug-{mode}-{threads}.csv"
+                argv = ["--threads", threads, *_command_argv(paths, "augment", out)]
+                assert main([*argv, "--mode", mode, "--ratio", "250", "--seed", "5"]) == 0
+                outputs.append(out.read_bytes())
+                sidecar = json.loads(Path(f"{out}.json").read_text())
+                assert sidecar["run_config"].pop("threads") == int(threads)
+                sidecar["run_config"].pop("out")
+                sidecars.append(sidecar)
+            assert outputs[0].count(b"\n") == 1 + 40 + 10_000
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+            assert sidecars[1] == sidecars[0] and sidecars[2] == sidecars[0]
+
+    def test_augment_receives_the_thread_count(self, workspace, monkeypatch):
+        from tabmem import cli
+
+        seen = []
+        real_augment = cli.run_augment
+
+        def recording_augment(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            return real_augment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_augment", recording_augment)
+        paths, _ = workspace
+        assert main(["--threads", "3", *_command_argv(paths, "augment", paths["dir"] / "a.csv")]) == 0
+        assert seen == [3]
+
+
 class TestFidelityCommand:
     def test_report_fields(self, workspace):
         paths, _ = workspace
@@ -439,6 +473,8 @@ def _command_argv(paths, command, out):
                   "--schema", paths["schema"]],
         "augment": ["--train", paths["train"], "--schema", paths["schema"], "--mode", "cutmix"],
         "cluster": ["--train", paths["train"], "--schema", paths["schema"]],
+        "fidelity": ["--real", paths["train"], "--synthetic", paths["synthetic"],
+                     "--schema", paths["schema"]],
         "simulate": ["--steps", "10", "--trajectories", "2"],
     }
     return [command, *map(str, files[command]), "--out", str(out)]
@@ -463,6 +499,8 @@ class TestBadArgumentValues:
             ("audit", "--bins", "0"),
             ("augment", "--ratio", "-1"),
             ("augment", "--ratio", "nan"),
+            ("augment", "--ratio", "1001"),
+            ("augment", "--ratio", "1e300"),
             ("augment", "--cluster-threshold", "2"),
             ("augment", "--seed", "-1"),
             ("cluster", "--threshold", "-0.5"),
@@ -511,3 +549,36 @@ class TestHashSeedIndependence:
             assert result.returncode == 0, result.stderr
             reports.append((tmp_path / "fidelity.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command", ["augment", "audit", "fidelity"])
+    @pytest.mark.parametrize("broken", ["schema", "train", "names"])
+    def test_data_error_without_traceback(self, workspace, command, broken):
+        # A schema that is not JSON, or a CSV that is not UTF-8 (a Latin-1
+        # byte in a data row), is a data error naming the file; so is a
+        # schema whose column names are not strings.
+        paths, _ = workspace
+        if broken == "train":
+            bad = paths["dir"] / "bad.csv"
+            header, body = paths["train"].read_bytes().split(b"\n", 1)
+            bad.write_bytes(header + b"\n" + body.replace(b",", b",caf\xe9", 1))
+            expected = str(bad)
+        elif broken == "schema":
+            bad = paths["dir"] / "bad.json"
+            bad.write_text('{"features": [{"name": "x", ', encoding="utf-8")
+            expected = str(bad)
+        else:
+            bad = paths["dir"] / "names.json"
+            bad.write_text('{"features": [{"name": 5, "kind": "numerical"}]}', encoding="utf-8")
+            broken, expected = "schema", "names must be non-empty strings"
+        out = paths["dir"] / "out.file"
+        argv = _command_argv(dict(paths, **{broken: bad}), command, out)
+        src = str(Path(tabmem.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-m", "tabmem", *argv],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and expected in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,62 @@ class TestScoreKernel:
         assert np.allclose(weights, _broadcast_posterior(z, sigma, points), rtol=1e-12, atol=1e-12)
         scale = np.abs(points[None, :, :] - z[:, None, :]).max(axis=1) / (sigma * sigma)
         assert np.all(np.abs(score - _broadcast_score(z, sigma, points)) <= 1e-12 * scale)
+
+
+def _broadcast_diameter(points):
+    """The (N, N, dim) broadcast formula the blocked distances replaced."""
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt(np.sum(diff * diff, axis=-1)).max())
+
+
+def _broadcast_nearest(points, z):
+    diff = z[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    idx = np.argmin(dist, axis=1)
+    return idx, dist[np.arange(z.shape[0]), idx]
+
+
+class TestLatentDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=score_inputs(max_dim=7))
+    def test_bit_identical_to_broadcast_up_to_seven_dims(self, inputs):
+        # Coordinates repeat, so latents coincide and states sit on them:
+        # ties must still go to the lowest latent index.
+        points, z, _ = inputs
+        latents = LatentSet(points)
+        assert latents.diameter() == _broadcast_diameter(points)
+        idx, dist = latents.nearest(z)
+        ref_idx, ref_dist = _broadcast_nearest(points, z)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_changes_nothing(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        points = rng.integers(-2, 3, size=(30, 3)).astype(np.float64)
+        z = np.concatenate([points[::-1], rng.normal(size=(20, 3))])
+        expected = _broadcast_diameter(points), _broadcast_nearest(points, z)
+        monkeypatch.setattr(scorelab, "_DISTANCE_BLOCK", block)
+        latents = LatentSet(points)
+        idx, dist = latents.nearest(z)
+        assert latents.diameter() == expected[0]
+        assert np.array_equal(idx, expected[1][0]) and np.array_equal(dist, expected[1][1])
+
+    def test_memory_is_linear_in_the_latents(self):
+        # The broadcast held 2000 x 2000 x 2 float64 differences (64 MB).
+        latents = LatentSet(np.random.default_rng(0).normal(size=(2000, 2)))
+        z = np.random.default_rng(1).normal(size=(4000, 2))
+        tracemalloc.start()
+        try:
+            latents.diameter()
+            _, diameter_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            latents.nearest(z)
+            _, nearest_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diameter_peak < 8e6
+        assert nearest_peak < 8e6
 
 
 def _reference_pre_assignment(latents, schedule, config):

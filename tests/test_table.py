@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tabmem.errors import (
     BadFractionsError,
     EmptyTableError,
+    MalformedFileError,
     MissingColumnError,
     MissingValueError,
     SchemaMismatchError,
@@ -39,6 +40,14 @@ class TestSchema:
     def test_target_name_collision_rejected(self):
         with pytest.raises(SchemaMismatchError):
             Schema(features=(("a", NUM),), target="a")
+
+    @pytest.mark.parametrize(
+        "features, target",
+        [((("a", NUM),), 7), (((5, NUM),), None), ((("", NUM),), None), ((("a", NUM),), "")],
+    )
+    def test_names_must_be_non_empty_strings(self, features, target):
+        with pytest.raises(SchemaMismatchError):
+            Schema(features=features, target=target)
 
     def test_feature_count_excludes_target(self, mixed_schema):
         assert mixed_schema.n_features == 4
@@ -134,6 +143,27 @@ class TestCsv:
         path.write_text("x,y,color,shape,label\n1.0,2.0,red,circle\n")
         with pytest.raises(SchemaMismatchError):
             load_csv(path, mixed_schema)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"1.0,2.0,caf\xe9,circle,pos\n", "not UTF-8"),
+            (b"1.0,2.0," + b"r" * 200_000 + b",circle,pos\n", "malformed CSV"),
+        ],
+    )
+    def test_undecodable_file_names_its_path(self, tmp_path, mixed_schema, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x,y,color,shape,label\n" + body)
+        with pytest.raises(MalformedFileError, match=message) as err:
+            load_csv(path, mixed_schema)
+        assert str(path) in str(err.value)
+
+    def test_schema_that_is_not_json(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"features": [\xff')
+        with pytest.raises(MalformedFileError, match="not a JSON schema file") as err:
+            load_schema(path)
+        assert str(path) in str(err.value)
 
     def test_empty_table_not_written(self, mixed_schema, tmp_path):
         with pytest.raises(EmptyTableError):
